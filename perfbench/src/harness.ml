@@ -30,10 +30,25 @@ type outcome = {
   unknown : bool;  (* a decider answered Unknown (not a failure) *)
 }
 
+(* How a position's repeats within a phase make one point of the latency
+   distribution.  [Least], as in best-of-N timing, suits requests of a
+   few milliseconds: some repeats land in the host's fast moments, and the
+   least latency depends least on the host.  A request of hundreds of
+   milliseconds averages over those moments itself, so its least latency is
+   just the low tail of its noise, and the [Median] is steadier. *)
+type statistic = Least | Median
+
 type workload = {
   sizes : string;  (* one line: the generated input sizes *)
   cycle : int;  (* requests in one pass over the workload's request mix *)
   request : traced:bool -> int -> outcome;  (* the [i]-th request *)
+  start_trace : unit -> unit;  (* before the traced requests, at a pass boundary *)
+  statistic : statistic;
+  fresh_heap : bool;
+      (* a full major collection before every request, outside its timing,
+         so that each request starts from the same heap and pays the
+         collection work of its own garbage, not a share of its
+         predecessors' *)
   corrupt : unit -> unit;  (* self-test: make one expected value wrong *)
 }
 

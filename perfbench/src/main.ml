@@ -17,14 +17,17 @@ open Harness
 
 let workloads =
   [
-    ("materialize", fun ~seed ~size ~trace:_ -> Wl_chase.materialize ~seed ~size);
-    ("bigdb", fun ~seed ~size ~trace:_ -> Wl_chase.bigdb ~seed ~size);
-    ("decide", fun ~seed ~size ~trace:_ -> Wl_decide.decide ~seed ~size);
-    ("serve", fun ~seed ~size ~trace -> Wl_serve.serve ~seed ~size ~trace);
+    ("materialize", Wl_chase.materialize);
+    ("bigdb", Wl_chase.bigdb);
+    ("decide", Wl_decide.decide);
+    ("serve", Wl_serve.serve);
   ]
 
-(* Set-up runs this many times per run; [setup_s] is the median. *)
+(* Set-up runs at least [setup_reps] times per run, and again while the
+   set-ups have taken less than [setup_min_s] in all; [setup_s] is the
+   median.  A quick set-up is the noisiest, so it gets the most repeats. *)
 let setup_reps = 3
+let setup_min_s = 2.
 
 let sorted a =
   let a = Array.copy a in
@@ -50,10 +53,30 @@ let failed_outcome i e =
 (* A request's outcome and its position in the workload's mix. *)
 type sample = { pos : int; o : outcome }
 
+(* The peak size of the major heap over the measured phase, in words:
+   sampled after every request and at the end of every major cycle, from
+   a heap that set-up left compacted.  (OCaml 5.1's [Gc.compact] does not
+   refresh the heap statistics; the [Gc.full_major] after it does.) *)
+module Heap = struct
+  let peak = ref 0
+  let note () = peak := max !peak (Gc.quick_stat ()).Gc.heap_words
+
+  let tracking f =
+    peak := 0;
+    note ();
+    let alarm = Gc.create_alarm note in
+    Fun.protect ~finally:(fun () -> Gc.delete_alarm alarm) f
+
+  let mb words = float_of_int words *. float_of_int (Sys.word_size / 8) /. 1048576.
+  let peak_mb () = mb !peak
+end
+
 let request wl ~traced cursor =
   let i = !cursor in
   incr cursor;
+  if wl.fresh_heap then Gc.full_major ();
   let o = try wl.request ~traced i with e -> failed_outcome i e in
+  Heap.note ();
   if traced then begin
     Trace.request_ms := !Trace.request_ms +. o.ms;
     incr Trace.requests
@@ -77,33 +100,34 @@ let count p ss = Array.fold_left (fun n s -> if p s.o then n + 1 else n) 0 ss
 type point = { kind : string; lat : float; alloc : float }
 
 (* A phase's latency distribution: one point per position of the mix,
-   holding the median latency and allocation of the position's repeats
-   within the phase.  The percentiles are taken over the positions of one
-   pass, which weights each request class by its share of the mix however
-   the run's end cuts a pass, and keeps a stray slow repeat (a major
-   collection, a burst of load from other tenants of the host) from
-   moving them.  A mix of one request (bigdb) has no positions to spread
-   over, so its points are the repeats themselves. *)
+   holding the workload's [statistic] of the latencies of the position's
+   repeats within the phase, and the median of their allocations.  The
+   percentiles are taken over the positions of one pass, which weights
+   each request class by its share of the mix however the run's end cuts a
+   pass.  On a shared virtual machine the same request mix runs up to 1.5x
+   slower for spells of seconds to minutes; a position's repeats are spread
+   over the whole phase, so its point is read from all of it. *)
 let point o = { kind = o.cls; lat = o.ms; alloc = o.words }
 
 let points wl ss =
-  let done_ = List.filter (fun s -> Float.is_finite s.o.ms) (Array.to_list ss) in
-  if wl.cycle = 1 then Array.of_list (List.map (fun s -> point s.o) done_)
-  else begin
-    let by_pos = Hashtbl.create 512 in
-    List.iter
-      (fun s ->
-        let os = Option.value ~default:[] (Hashtbl.find_opt by_pos s.pos) in
-        Hashtbl.replace by_pos s.pos (s.o :: os))
-      done_;
-    let median_of f os = percentile (sorted (Array.of_list (List.map f os))) 0.5 in
-    Hashtbl.fold
-      (fun _ os acc ->
-        let kind = (List.hd os).cls in
-        { kind; lat = median_of (fun o -> o.ms) os; alloc = median_of (fun o -> o.words) os } :: acc)
-      by_pos []
-    |> Array.of_list
-  end
+  let by_pos = Hashtbl.create 512 in
+  Array.iter
+    (fun s ->
+      if Float.is_finite s.o.ms then
+        Hashtbl.replace by_pos s.pos
+          (s.o :: Option.value ~default:[] (Hashtbl.find_opt by_pos s.pos)))
+    ss;
+  let median_of f os = percentile (sorted (Array.of_list (List.map f os))) 0.5 in
+  Hashtbl.fold
+    (fun _ os acc ->
+      let lat =
+        match wl.statistic with
+        | Least -> List.fold_left (fun m o -> Float.min m o.ms) infinity os
+        | Median -> median_of (fun o -> o.ms) os
+      in
+      { kind = (List.hd os).cls; lat; alloc = median_of (fun o -> o.words) os } :: acc)
+    by_pos []
+  |> Array.of_list
 
 let lat_ms pts = sorted (Array.map (fun p -> p.lat) pts)
 
@@ -140,9 +164,6 @@ let describe_classes ss =
         (percentile a 0.1) (percentile a 0.5) (percentile a 0.9))
     classes
 
-let heap_peak_mb () =
-  float_of_int (Gc.quick_stat ()).Gc.top_heap_words *. float_of_int (Sys.word_size / 8) /. 1048576.
-
 let end_to_end wl ~setup_s ss =
   let pts = points wl ss in
   let lat = lat_ms pts in
@@ -155,7 +176,7 @@ let end_to_end wl ~setup_s ss =
     ("ok_share", share (fun o -> o.ok), "share");
     ("conclusive_share", share (fun o -> not o.unknown), "share");
     ("alloc_words_per_request", mean (Array.map (fun p -> p.alloc) pts), "words");
-    ("heap_peak_mb", heap_peak_mb (), "MB");
+    ("heap_peak_mb", Heap.peak_mb (), "MB");
   ]
 
 (* Layer metrics of the traced phase; [untraced] and [traced] are the
@@ -230,32 +251,43 @@ let print_result ss metrics =
   Printf.printf "{\"correct\": %b, \"attempted\": %d, \"failed\": %d, \"metrics\": {%s}}\n%!"
     (failed = 0) attempted failed (String.concat ", " fields)
 
-let setup make ~seed ~size ~trace ~reps =
+let setup make ~seed ~size =
   let times = ref [] and wl = ref None in
-  for _ = 1 to reps do
+  while
+    List.length !times < setup_reps || List.fold_left ( +. ) 0. !times < setup_min_s
+  do
     wl := None;
     Gc.compact ();
     let t0 = now () in
-    wl := Some (make ~seed ~size ~trace);
+    wl := Some (make ~seed ~size);
     times := (now () -. t0) :: !times
   done;
   Gc.compact ();
+  Gc.full_major ();
   (Option.get !wl, percentile (sorted (Array.of_list !times)) 0.5)
 
 let measure name ~seed ~seconds ~trace =
   let make = List.assoc name workloads in
-  let wl, setup_s = setup make ~seed ~size:Full ~trace ~reps:setup_reps in
+  let wl, setup_s = setup make ~seed ~size:Full in
   Printf.eprintf "%s seed %d: %s; setup %.3f s\n%!" name seed wl.sizes setup_s;
   let cursor = ref 0 in
   ignore (run_for wl ~traced:false ~seconds:(0.1 *. seconds) cursor);
   if not trace then begin
-    let ss = run_for wl ~traced:false ~seconds cursor in
+    let heap0 = Heap.mb (Gc.quick_stat ()).Gc.heap_words in
+    let ss = Heap.tracking (fun () -> run_for wl ~traced:false ~seconds cursor) in
+    Printf.eprintf "heap %.1f MB after set-up and warm-up, %.1f MB peak while measured\n%!" heap0
+      (Heap.peak_mb ());
     describe_classes ss;
     check_boundaries (points wl ss);
     print_result ss (end_to_end wl ~setup_s ss)
   end
   else begin
     let untraced = run_for wl ~traced:false ~seconds:(seconds /. 2.) cursor in
+    (* the traced half starts at a pass boundary, from the state a pass
+       returns to *)
+    let rest = run_count wl ~traced:false ((wl.cycle - (!cursor mod wl.cycle)) mod wl.cycle) cursor in
+    let untraced = Array.append untraced rest in
+    wl.start_trace ();
     Trace.reset ();
     let traced = run_for wl ~traced:true ~seconds:(seconds /. 2.) cursor in
     print_result (Array.append untraced traced)
@@ -269,11 +301,11 @@ let self_test () =
   let results =
     List.map
       (fun (name, make) ->
-        let wl = make ~seed:1 ~size:Tiny ~trace:true in
+        let wl = make ~seed:1 ~size:Tiny in
         let cursor = ref 0 in
-        let clean =
-          Array.append (run_count wl ~traced:false 60 cursor) (run_count wl ~traced:true 60 cursor)
-        in
+        let untraced = run_count wl ~traced:false (wl.cycle * (1 + (60 / wl.cycle))) cursor in
+        wl.start_trace ();
+        let clean = Array.append untraced (run_count wl ~traced:true 60 cursor) in
         let clean_failed = count (fun o -> not o.ok) clean in
         wl.corrupt ();
         let bad_failed = count (fun o -> not o.ok) (run_count wl ~traced:false 60 cursor) in

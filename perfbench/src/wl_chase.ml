@@ -164,6 +164,9 @@ let materialize ~seed ~size =
     sizes;
     cycle = Array.length sched;
     request = make_request ~backend:`Compiled items sched;
+    start_trace = ignore;
+    statistic = Least;
+    fresh_heap = false;
     corrupt = (fun () -> items.(0).steps <- items.(0).steps + 1);
   }
 
@@ -172,8 +175,9 @@ let materialize ~seed ~size =
 (* [St_mapping.hub_propagation]'s shape with seeded constant names:
    an [n]-cycle [e], [eZ]/[m] edges of every cycle node into one hub, and
    [pad] more [m] atoms on the hub.  The chase walks the cycle in exactly
-   [n - 1] steps. *)
-let hub_database ~tag ~n ~pad =
+   [n - 1] steps.  One database per entry of [pads], each a snapshot of
+   the next one's construction, so they share their atoms. *)
+let hub_databases ~tag ~n ~pads =
   let c fmt = Printf.ksprintf (fun s -> Term.Const (s ^ "_" ^ tag)) fmt in
   let hub = c "hub" in
   let db = ref Instance.empty in
@@ -183,24 +187,52 @@ let hub_database ~tag ~n ~pad =
     add "eZ" [ c "v%d" i; hub ];
     add "m" [ c "v%d" i; hub ]
   done;
-  for j = 0 to pad - 1 do
-    add "m" [ c "d%d" j; hub ]
-  done;
   add "r" [ c "v0" ];
-  !db
+  let added = ref 0 in
+  List.map
+    (fun pad ->
+      while !added < pad do
+        add "m" [ c "d%d" !added; hub ];
+        incr added
+      done;
+      (pad, !db))
+    pads
 
+(* Three database sizes, so that the latency distribution has three
+   points: p50 is the middle size and p90 lies between the two larger. *)
 let bigdb ~seed ~size =
-  let n, pad = match size with Tiny -> (50, 200) | Full -> (6_000, 294_000) in
-  let tgds = (Chase_workload.St_mapping.hub_propagation ~n:1 ~pad:0).tgds in
-  let db = hub_database ~tag:(tag_of_seed seed) ~n ~pad in
-  let it =
-    { name = Printf.sprintf "hub-%d+%d" n pad; text = None; tgds; db; steps = 0; card = 0 }
+  let n, pads =
+    match size with
+    | Tiny -> (50, [ 100; 200; 300 ])
+    | Full -> (6_000, [ 86_000; 190_000; 294_000 ])
   in
-  reference ~backend:`Compiled it;
-  let items = [| it |] in
+  let tgds = (Chase_workload.St_mapping.hub_propagation ~n:1 ~pad:0).tgds in
+  let items =
+    Array.of_list
+      (List.map
+         (fun (pad, db) ->
+           let it =
+             { name = Printf.sprintf "hub-%d+%d" n pad; text = None; tgds; db; steps = 0; card = 0 }
+           in
+           reference ~backend:`Compiled it;
+           it)
+         (hub_databases ~tag:(tag_of_seed seed) ~n ~pads))
+  in
+  let sizes =
+    String.concat ", "
+      (Array.to_list
+         (Array.map
+            (fun it ->
+              Printf.sprintf "%s: %d facts, %d steps" it.name (Instance.cardinal it.db) it.steps)
+            items))
+  in
+  let sched = schedule (Array.make (Array.length items) 1) in
   {
-    sizes = Printf.sprintf "%s: %d facts, %d steps" it.name (Instance.cardinal db) it.steps;
-    cycle = 1;
-    request = make_request ~backend:`Columnar items [| 0 |];
-    corrupt = (fun () -> it.card <- it.card + 1);
+    sizes;
+    cycle = Array.length sched;
+    request = make_request ~backend:`Columnar items sched;
+    start_trace = ignore;
+    statistic = Median;
+    fresh_heap = true;
+    corrupt = (fun () -> items.(0).card <- items.(0).card + 1);
   }

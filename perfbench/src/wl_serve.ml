@@ -87,7 +87,7 @@ let line fields = Json.to_string (Json.Obj fields)
 
 let member_is k v reply = Json.member k reply = Some v
 
-let serve ~seed ~size ~trace =
+let serve ~seed ~size =
   let st = Random.State.make [| seed; 0x5e7 |] in
   let tag = tag_of_seed seed in
   let _, _, _, rounds, _ = params size in
@@ -125,12 +125,7 @@ let serve ~seed ~size ~trace =
       s.expect_count <-
         List.length
           (Chase_query.Certain_answers.compute ~max_steps:1_000_000 ~tgds:s.tgds ~database:base q)
-            .Chase_query.Certain_answers.answers;
-      if trace then begin
-        let inc = Incremental.create s.tgds s.db in
-        ignore (Incremental.chase ~max_steps:1_000_000 inc);
-        s.shadow <- Some inc
-      end)
+            .Chase_query.Certain_answers.answers)
     ss;
   (* one cycle: per round, each session asserts, chases and queries; then
      each session retracts every batch and rebuilds *)
@@ -155,7 +150,17 @@ let serve ~seed ~size ~trace =
                 rounds)
             ss))
   in
-  (* traced runs: replay the request's layers on the session's shadow *)
+  (* traced requests replay their layers on a shadow [Incremental.t] per
+     session; the traced half starts at a pass boundary, where every
+     session is back at its loaded base *)
+  let start_trace () =
+    Array.iter
+      (fun s ->
+        let inc = Incremental.create s.tgds s.db in
+        ignore (Incremental.chase ~max_steps:1_000_000 inc);
+        s.shadow <- Some inc)
+      ss
+  in
   let replay_layers s op req =
     let inc = Option.get s.shadow in
     ignore (Trace.replay "serve.decode" (fun () -> Chase_serve.Protocol.of_json (Json.parse req)));
@@ -216,11 +221,11 @@ let serve ~seed ~size ~trace =
       (text, t0, t1, t2, alloc_words () -. w0)
     in
     let reply, t0, t1, t2, words = if traced then Trace.in_sink body else body () in
-    if trace then begin
-      if traced then Trace.layer "serve.render" ((t2 -. t1) *. 1000.);
+    if traced then begin
+      Trace.layer "serve.render" ((t2 -. t1) *. 1000.);
       replay_layers s op req
     end;
     { cls = op_class op; ms = (t2 -. t0) *. 1000.; words; ok = check s op reply; unknown = false }
   in
   let corrupt () = ss.(0).expect_count <- ss.(0).expect_count + 1 in
-  { sizes; cycle = Array.length cycle; request; corrupt }
+  { sizes; cycle = Array.length cycle; request; start_trace; statistic = Least; fresh_heap = false; corrupt }
