@@ -1,27 +1,37 @@
 (* Instances (paper §2): possibly infinite sets of atoms over constants and
    nulls.  This implementation is a finite, persistent, per-predicate-indexed
    set: chase derivations snapshot instances at every step, so persistence
-   is what we want.  A database is an instance containing facts only. *)
+   is what we want.  The (predicate, position, term) index is built only
+   where something probes it.  A database is an instance containing facts
+   only. *)
 
 module SMap = Map.Make (String)
 
-(* Secondary index key: (predicate, position, term). *)
-module TpKey = struct
-  type t = string * int * Term.t
+(* The secondary index is split into slices, one per (predicate,
+   position), each mapping a term to the atoms holding it there. *)
+module Slot = struct
+  type t = string * int
 
-  let compare (p1, i1, t1) (p2, i2, t2) =
+  let compare (p1, k1) (p2, k2) =
     let c = String.compare p1 p2 in
-    if c <> 0 then c
-    else
-      let c = Int.compare i1 i2 in
-      if c <> 0 then c else Term.compare t1 t2
+    if c <> 0 then c else Int.compare k1 k2
 end
 
-module TpMap = Map.Make (TpKey)
+module SlotMap = Map.Make (Slot)
 
-type t = { by_pred : Atom.Set.t SMap.t; by_term : Atom.Set.t TpMap.t; size : int }
+type slice = Atom.Set.t Term.Map.t
 
-let empty = { by_pred = SMap.empty; by_term = TpMap.empty; size = 0 }
+(* [by_term] is a cache of slices, each built by the first
+   [with_pred_pos_term] probe of its slot (DESIGN.md §6).  [add] and
+   [remove] maintain the slices a parent already has, so a chain of
+   instances that nothing probes never pays for an index.  The fill is a
+   plain racy write, not a [Lazy.t]: two domains forcing one lazy value
+   at once raise [Lazy.Undefined].  Every map ever stored holds correct
+   slices, so a racing domain at worst loses another's slice, which the
+   next probe of that slot rebuilds. *)
+type t = { by_pred : Atom.Set.t SMap.t; mutable by_term : slice SlotMap.t; size : int }
+
+let empty = { by_pred = SMap.empty; by_term = SlotMap.empty; size = 0 }
 
 let is_empty i = i.size = 0
 let cardinal i = i.size
@@ -31,9 +41,19 @@ let mem a i =
   | None -> false
   | Some s -> Atom.Set.mem a s
 
-let index_keys a =
-  let p = Atom.pred a in
-  List.init (Atom.arity a) (fun k -> (p, k, Atom.arg a k))
+(* Apply [f] to the set of [a]'s term in every slice of [a]'s predicate
+   that [m] holds. *)
+let update_slices f a m =
+  if SlotMap.is_empty m then m
+  else
+    let p = Atom.pred a in
+    let m = ref m in
+    for k = 0 to Atom.arity a - 1 do
+      match SlotMap.find_opt (p, k) !m with
+      | None -> ()
+      | Some slice -> m := SlotMap.add (p, k) (Term.Map.update (Atom.arg a k) f slice) !m
+    done;
+    !m
 
 let add a i =
   let p = Atom.pred a in
@@ -41,11 +61,9 @@ let add a i =
   if Atom.Set.mem a s then i
   else
     let by_term =
-      List.fold_left
-        (fun m key ->
-          let prev = Option.value ~default:Atom.Set.empty (TpMap.find_opt key m) in
-          TpMap.add key (Atom.Set.add a prev) m)
-        i.by_term (index_keys a)
+      update_slices
+        (fun s -> Some (Atom.Set.add a (Option.value ~default:Atom.Set.empty s)))
+        a i.by_term
     in
     { by_pred = SMap.add p (Atom.Set.add a s) i.by_pred; by_term; size = i.size + 1 }
 
@@ -59,21 +77,31 @@ let remove a i =
         let s' = Atom.Set.remove a s in
         let by_pred = if Atom.Set.is_empty s' then SMap.remove p i.by_pred else SMap.add p s' i.by_pred in
         let by_term =
-          List.fold_left
-            (fun m key ->
-              match TpMap.find_opt key m with
-              | None -> m
+          update_slices
+            (function
+              | None -> None
               | Some set ->
                   let set' = Atom.Set.remove a set in
-                  if Atom.Set.is_empty set' then TpMap.remove key m else TpMap.add key set' m)
-            i.by_term (index_keys a)
+                  if Atom.Set.is_empty set' then None else Some set')
+            a i.by_term
         in
         { by_pred; by_term; size = i.size - 1 }
 
 let singleton a = add a empty
 
-let of_list atoms = List.fold_left (fun i a -> add a i) empty atoms
-let of_seq atoms = Seq.fold_left (fun i a -> add a i) empty atoms
+(* Bulk construction: bucket the atoms by predicate, then sort and dedup
+   each bucket into its set in one go ([Atom.Set.of_list]) instead of one
+   persistent [add] per atom. *)
+let of_list atoms =
+  let by_pred =
+    List.fold_left
+      (fun m a -> SMap.update (Atom.pred a) (fun l -> Some (a :: Option.value ~default:[] l)) m)
+      SMap.empty atoms
+    |> SMap.map Atom.Set.of_list
+  in
+  { by_pred; by_term = SlotMap.empty; size = SMap.fold (fun _ s n -> n + Atom.Set.cardinal s) by_pred 0 }
+
+let of_seq atoms = of_list (List.of_seq atoms)
 
 let fold f i acc = SMap.fold (fun _ s acc -> Atom.Set.fold f s acc) i.by_pred acc
 let iter f i = SMap.iter (fun _ s -> Atom.Set.iter f s) i.by_pred
@@ -107,10 +135,41 @@ let with_pred_set i p =
 
 let pred_count i p = Atom.Set.cardinal (with_pred_set i p)
 
+(* One slice in one pass: sort the predicate's atoms by the term at [k]
+   and build one set per run of equal terms. *)
+let build_slice atoms k =
+  let keyed =
+    Atom.Set.fold
+      (fun a acc -> if Atom.arity a > k then (Atom.arg a k, a) :: acc else acc)
+      atoms []
+    |> List.sort (fun (t, _) (t', _) -> Term.compare t t')
+  in
+  let close t run slice = Term.Map.add t (Atom.Set.of_list run) slice in
+  let rec runs t run slice = function
+    | [] -> close t run slice
+    | (t', a) :: rest ->
+        if Term.equal t t' then runs t (a :: run) slice rest
+        else runs t' [ a ] (close t run slice) rest
+  in
+  match keyed with [] -> Term.Map.empty | (t, a) :: rest -> runs t [ a ] Term.Map.empty rest
+
 (* Atoms with the given term at the given (0-based) position — the
    secondary index behind the homomorphism search's candidate pruning. *)
-let with_pred_pos_term i p pos t =
-  match TpMap.find_opt (p, pos, t) i.by_term with None -> Atom.Set.empty | Some s -> s
+let with_pred_pos_term i p k t =
+  if i.size = 0 then Atom.Set.empty (* never cache on the shared [empty] *)
+  else
+    let slice =
+      match SlotMap.find_opt (p, k) i.by_term with
+      | Some slice -> slice
+      | None ->
+          let atoms = with_pred_set i p in
+          let slice = build_slice atoms k in
+          Obs.incr "instance.index.build";
+          Obs.count "instance.index.atoms" (Atom.Set.cardinal atoms);
+          i.by_term <- SlotMap.add (p, k) slice i.by_term;
+          slice
+    in
+    match Term.Map.find_opt t slice with None -> Atom.Set.empty | Some s -> s
 
 let preds i = SMap.fold (fun p _ acc -> p :: acc) i.by_pred [] |> List.rev
 

@@ -1,6 +1,6 @@
 (** Instances (paper §2): finite sets of atoms over constants and nulls,
-    persistent and indexed by predicate.  A {e database} is an instance
-    whose atoms are facts (constants only). *)
+    persistent and indexed by predicate (and, on demand, by term).  A
+    {e database} is an instance whose atoms are facts (constants only). *)
 
 type t
 
@@ -38,7 +38,10 @@ val with_pred_set : t -> string -> Atom.Set.t
 val pred_count : t -> string -> int
 
 (** Atoms with the given term at the given 0-based position (secondary
-    index; used to prune homomorphism candidates). *)
+    index; used to prune homomorphism candidates).  The index slice of a
+    (predicate, position) is built by its first probe on an instance and
+    kept up to date by [add]/[remove] on instances derived afterwards;
+    each build emits [instance.index.build] and [instance.index.atoms]. *)
 val with_pred_pos_term : t -> string -> int -> Term.t -> Atom.Set.t
 
 (** Predicates occurring in the instance, sorted. *)

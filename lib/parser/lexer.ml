@@ -1,22 +1,38 @@
-(* A hand-written lexer for the Datalog± surface syntax. *)
+(* A hand-written lexer for the Datalog± surface syntax.
+
+   The state is a byte offset into the source plus the offset at which
+   the current line starts; a column is computed only when a token or an
+   error needs one.  Lookahead reads the source directly, with an explicit
+   end-of-input test, so scanning allocates nothing per character. *)
 
 exception Error of { line : int; col : int; msg : string }
 
 let error line col fmt = Format.kasprintf (fun msg -> raise (Error { line; col; msg })) fmt
 
-type state = { src : string; mutable pos : int; mutable line : int; mutable col : int }
+type state = {
+  src : string;
+  len : int;
+  mutable pos : int;
+  mutable line : int;
+  mutable line_start : int;  (* offset of the first byte of [line] *)
+}
 
-let make src = { src; pos = 0; line = 1; col = 1 }
+let make src = { src; len = String.length src; pos = 0; line = 1; line_start = 0 }
 
-let peek st = if st.pos < String.length st.src then Some st.src.[st.pos] else None
+(* 1-based byte column of [pos]. *)
+let col st = st.pos - st.line_start + 1
 
+let at_end st = st.pos >= st.len
+
+(* The current byte; only valid when [not (at_end st)]. *)
+let cur st = String.unsafe_get st.src st.pos
+
+(* Step over the current byte, counting a line break. *)
 let advance st =
-  (match peek st with
-  | Some '\n' ->
-      st.line <- st.line + 1;
-      st.col <- 1
-  | Some _ -> st.col <- st.col + 1
-  | None -> ());
+  if cur st = '\n' then begin
+    st.line <- st.line + 1;
+    st.line_start <- st.pos + 1
+  end;
   st.pos <- st.pos + 1
 
 let is_ident_start c = c >= 'a' && c <= 'z'
@@ -30,125 +46,198 @@ let is_ident_char c =
   || c = '_' || c = '\''
 
 let rec skip_trivia st =
-  match peek st with
-  | Some (' ' | '\t' | '\r' | '\n') ->
-      advance st;
-      skip_trivia st
-  | Some '%' ->
-      skip_line st;
-      skip_trivia st
-  | Some '/' when st.pos + 1 < String.length st.src && st.src.[st.pos + 1] = '/' ->
-      skip_line st;
-      skip_trivia st
-  | _ -> ()
-
-and skip_line st =
-  match peek st with
-  | Some '\n' | None -> ()
-  | Some _ ->
-      advance st;
-      skip_line st
-
-let lex_word st =
-  let start = st.pos in
-  let rec go () =
-    match peek st with
-    | Some c when is_ident_char c ->
+  if not (at_end st) then
+    match cur st with
+    | ' ' | '\t' | '\r' | '\n' ->
         advance st;
-        go ()
+        skip_trivia st
+    | '%' ->
+        skip_line st;
+        skip_trivia st
+    | '/' when st.pos + 1 < st.len && st.src.[st.pos + 1] = '/' ->
+        skip_line st;
+        skip_trivia st
     | _ -> ()
+
+(* Up to, not past, the end of the line. *)
+and skip_line st =
+  match String.index_from_opt st.src st.pos '\n' with
+  | Some j -> st.pos <- j
+  | None -> st.pos <- st.len
+
+(* Neither words nor digit runs contain a line break, so these move [pos]
+   alone. *)
+let rec skip_ident_chars st =
+  if (not (at_end st)) && is_ident_char (cur st) then begin
+    st.pos <- st.pos + 1;
+    skip_ident_chars st
+  end
+
+let rec skip_digits st =
+  if (not (at_end st)) && is_digit (cur st) then begin
+    st.pos <- st.pos + 1;
+    skip_digits st
+  end
+
+(* A quoted constant is the raw bytes between the quotes, line breaks
+   included; [pos] ends past the closing quote. *)
+let lex_quoted st =
+  let line = st.line and col = col st in
+  advance st (* opening quote *);
+  let rec go () =
+    if at_end st then error line col "unterminated string"
+    else if cur st = '"' then advance st
+    else begin
+      advance st;
+      go ()
+    end
   in
-  go ();
-  String.sub st.src start (st.pos - start)
+  go ()
 
 (* Integer constants: a maximal digit run.  A digit run glued to
    identifier characters ("123foo") is a malformed token, not a
    predicate name — report it as such instead of mis-lexing. *)
 let lex_number st =
-  let line = st.line and col = st.col in
+  let line = st.line and col = col st in
   let start = st.pos in
-  let rec digits () =
-    match peek st with
-    | Some c when is_digit c ->
-        advance st;
-        digits ()
-    | _ -> ()
-  in
-  digits ();
-  match peek st with
-  | Some c when is_ident_char c ->
-      let rec rest () =
-        match peek st with
-        | Some c when is_ident_char c ->
-            advance st;
-            rest ()
-        | _ -> ()
-      in
-      rest ();
-      error line col "malformed number %S (identifiers must start with a lowercase letter)"
-        (String.sub st.src start (st.pos - start))
-  | _ -> String.sub st.src start (st.pos - start)
+  skip_digits st;
+  if (not (at_end st)) && is_ident_char (cur st) then begin
+    skip_ident_chars st;
+    error line col "malformed number %S (identifiers must start with a lowercase letter)"
+      (String.sub st.src start (st.pos - start))
+  end
 
-let lex_quoted st =
-  let line = st.line and col = st.col in
-  advance st (* opening quote *);
-  let buf = Buffer.create 16 in
-  let rec go () =
-    match peek st with
-    | None -> error line col "unterminated string"
-    | Some '"' -> advance st
-    | Some c ->
-        Buffer.add_char buf c;
-        advance st;
-        go ()
-  in
-  go ();
-  Buffer.contents buf
+(* The token stream of a whole input, packed five ints per token — kind,
+   payload offset, payload length, line, column — in one array.  A token
+   is boxed into a [Token.located] only when the parser reaches it, so
+   lexing a large program leaves no per-token heap blocks behind. *)
+type tokens = { text : string; mutable data : int array; mutable count : int }
 
-let next st : Token.located =
+let stride = 5
+
+let k_eof = 0
+and k_lparen = 1
+and k_rparen = 2
+and k_comma = 3
+and k_arrow = 4
+and k_dot = 5
+and k_colon = 6
+and k_exists = 7
+and k_bot = 8
+and k_ident = 9
+and k_uident = 10
+and k_quoted = 11
+and k_number = 12
+
+let push b kind off len line col =
+  let o = b.count * stride in
+  if o + stride > Array.length b.data then begin
+    let data = Array.make (2 * Array.length b.data) 0 in
+    Array.blit b.data 0 data 0 o;
+    b.data <- data
+  end;
+  let d = b.data in
+  d.(o) <- kind;
+  d.(o + 1) <- off;
+  d.(o + 2) <- len;
+  d.(o + 3) <- line;
+  d.(o + 4) <- col;
+  b.count <- b.count + 1
+
+(* Does the source hold [w] at [off, off + len)? *)
+let is_word src off len w =
+  len = String.length w
+  &&
+  let rec go k = k = len || (String.unsafe_get src (off + k) = String.unsafe_get w k && go (k + 1)) in
+  go 0
+
+(* Step over a one-byte token. *)
+let step st kind =
+  st.pos <- st.pos + 1;
+  kind
+
+(* Lex one token into [b]; false once it was [Eof]. *)
+let lex_one b st =
   skip_trivia st;
-  let line = st.line and col = st.col in
-  let mk token : Token.located = { token; line; col } in
-  match peek st with
-  | None -> mk Eof
-  | Some '(' ->
-      advance st;
-      mk Lparen
-  | Some ')' ->
-      advance st;
-      mk Rparen
-  | Some ',' ->
-      advance st;
-      mk Comma
-  | Some '.' ->
-      advance st;
-      mk Dot
-  | Some ':' ->
-      advance st;
-      mk Colon
-  | Some '"' -> mk (Quoted (lex_quoted st))
-  | Some '-' ->
-      advance st;
-      (match peek st with
-      | Some '>' ->
-          advance st;
-          mk Arrow
-      | _ -> error line col "expected '>' after '-'")
-  | Some c when is_digit c -> mk (Number (lex_number st))
-  | Some c when is_var_start c -> mk (Uident (lex_word st))
-  | Some c when is_ident_start c -> (
-      let w = lex_word st in
-      match w with
-      | "exists" -> mk Exists
-      | "false" -> mk Bot
-      | _ -> mk (Ident w))
-  | Some c -> error line col "unexpected character %C" c
+  let line = st.line and col = col st in
+  let start = st.pos in
+  if at_end st then begin
+    push b k_eof start 0 line col;
+    false
+  end
+  else begin
+    let kind =
+      match cur st with
+      | '(' -> step st k_lparen
+      | ')' -> step st k_rparen
+      | ',' -> step st k_comma
+      | '.' -> step st k_dot
+      | ':' -> step st k_colon
+      | '"' ->
+          lex_quoted st;
+          k_quoted
+      | '-' ->
+          st.pos <- st.pos + 1;
+          if (not (at_end st)) && cur st = '>' then step st k_arrow
+          else error line col "expected '>' after '-'"
+      | c when is_digit c ->
+          lex_number st;
+          k_number
+      | c when is_var_start c ->
+          skip_ident_chars st;
+          k_uident
+      | c when is_ident_start c ->
+          skip_ident_chars st;
+          let len = st.pos - start in
+          if is_word st.src start len "exists" then k_exists
+          else if is_word st.src start len "false" then k_bot
+          else k_ident
+      | c -> error line col "unexpected character %C" c
+    in
+    (* a quoted constant's payload is without its quotes *)
+    if kind = k_quoted then push b kind (start + 1) (st.pos - start - 2) line col
+    else push b kind start (st.pos - start) line col;
+    true
+  end
 
-(* Tokenize the whole input. *)
+(* Tokenize the whole input up front, so a lexical error anywhere wins
+   over a syntax error before it.  The stream always ends with [Eof]. *)
 let tokenize src =
+  (* program text runs about 2.3 bytes per token; room for one token per
+     two bytes makes regrowing rare *)
+  let b = { text = src; data = Array.make (stride * (16 + (String.length src / 2))) 0; count = 0 } in
   let st = make src in
-  let rec go acc =
-    let t = next st in
-    match t.token with Token.Eof -> List.rev (t :: acc) | _ -> go (t :: acc)
+  while lex_one b st do
+    ()
+  done;
+  b
+
+let count b = b.count
+
+(* The [i]th token, boxed. *)
+let token b i : Token.located =
+  let o = i * stride in
+  let d = b.data in
+  let kind = d.(o) in
+  let token : Token.t =
+    (* the codes of the [k_] constants above *)
+    if kind <= 8 then
+      match kind with
+      | 0 -> Eof
+      | 1 -> Lparen
+      | 2 -> Rparen
+      | 3 -> Comma
+      | 4 -> Arrow
+      | 5 -> Dot
+      | 6 -> Colon
+      | 7 -> Exists
+      | _ -> Bot
+    else
+      let payload = String.sub b.text d.(o + 1) d.(o + 2) in
+      match kind with
+      | 9 -> Ident payload
+      | 10 -> Uident payload
+      | 11 -> Quoted payload
+      | _ -> Number payload
   in
-  go []
+  { token; line = d.(o + 3); col = d.(o + 4) }

@@ -19,23 +19,24 @@ exception Error of { line : int; col : int; msg : string }
 let error (t : Token.located) fmt =
   Format.kasprintf (fun msg -> raise (Error { line = t.line; col = t.col; msg })) fmt
 
-type state = { mutable toks : Token.located list }
+(* A cursor over [Lexer.tokenize]'s stream, which always ends with an
+   [Eof] token; [advance] keeps that final token, so the stream is never
+   exhausted.  [cur] is the boxed token at [i]. *)
+type state = { toks : Lexer.tokens; mutable i : int; mutable cur : Token.located }
 
-(* [Lexer.tokenize] always ends the stream with an [Eof] token and
-   [advance] keeps that final token, so a well-formed stream is never
-   exhausted; an empty list (a hand-built state, or a stream not ending
-   in [Eof]) raises a positioned error instead of tripping an assert. *)
-let peek st =
-  match st.toks with
-  | [] -> raise (Error { line = 1; col = 1; msg = "unexpected end of input" })
-  | t :: _ -> t
+let cursor src =
+  let toks = Lexer.tokenize src in
+  { toks; i = 0; cur = Lexer.token toks 0 }
 
-let peek2 st = match st.toks with _ :: t :: _ -> Some t | _ -> None
+let peek st = st.cur
+
+let peek2 st = if st.i + 1 < Lexer.count st.toks then Some (Lexer.token st.toks (st.i + 1)) else None
 
 let advance st =
-  match st.toks with
-  | [] | [ _ ] -> ()  (* the final token (Eof) is sticky *)
-  | _ :: rest -> st.toks <- rest
+  if st.i + 1 < Lexer.count st.toks then begin
+    st.i <- st.i + 1;
+    st.cur <- Lexer.token st.toks st.i
+  end
 
 let expect st token =
   let t = peek st in
@@ -174,22 +175,23 @@ let parse_item st ~auto_name =
   | tok -> error t "expected '.' or '->', found %s" (Token.to_string tok)
 
 let parse_program src =
-  let st = { toks = Lexer.tokenize src } in
+  let st = cursor src in
   let counter = ref 0 in
   let auto_name () =
     incr counter;
     Printf.sprintf "s%d" !counter
   in
-  let rec go acc =
+  (* both collected newest first; the database is built in one bulk pass *)
+  let rec go tgds facts =
     let t = peek st in
     match t.token with
-    | Token.Eof -> acc
+    | Token.Eof -> Program.make ~tgds:(List.rev tgds) ~database:(Instance.of_list facts)
     | _ -> (
         match parse_item st ~auto_name with
-        | `Fact a -> go (Program.add_fact a acc)
-        | `Tgd tgd -> go (Program.add_tgd tgd acc))
+        | `Fact a -> go tgds (a :: facts)
+        | `Tgd tgd -> go (tgd :: tgds) facts)
   in
-  go Program.empty
+  go [] []
 
 let parse_tgds src = Program.tgds (parse_program src)
 
@@ -201,7 +203,7 @@ let parse_tgd src =
 let parse_database src = Program.database (parse_program src)
 
 let parse_atom_exn src =
-  let st = { toks = Lexer.tokenize src } in
+  let st = cursor src in
   let a = parse_atom st in
   (match (peek st).token with
   | Token.Eof | Token.Dot -> ()

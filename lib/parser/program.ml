@@ -5,6 +5,7 @@ open Chase_core
 type t = { tgds : Tgd.t list; database : Instance.t }
 
 let empty = { tgds = []; database = Instance.empty }
+let make ~tgds ~database = { tgds; database }
 
 let tgds p = p.tgds
 let database p = p.database

@@ -287,4 +287,96 @@ let property_tests =
            Homomorphism.hom_equivalent i j));
   ]
 
-let suite = [ ("core", unit_tests @ storage_tests @ property_tests) ]
+(* The (pred, pos, term) index is a cache built on the first probe and
+   maintained below an indexed parent (DESIGN.md §6); probing must agree
+   with a filter of the predicate index however the instance was made. *)
+let index_agrees i =
+  List.for_all
+    (fun (p, ar) ->
+      let all = Instance.with_pred_set i p in
+      List.for_all
+        (fun k ->
+          List.for_all
+            (fun t ->
+              Atom.Set.equal
+                (Instance.with_pred_pos_term i p k t)
+                (Atom.Set.filter (fun a -> Term.equal (Atom.arg a k) t) all))
+            (List.map (fun c -> Term.Const c) Tgen.small_consts
+            @ List.map (fun n -> Term.Null n) Tgen.small_nulls))
+        (List.init ar Fun.id))
+    Tgen.schema_preds
+
+type index_op =
+  | Add of Atom.t
+  | Remove of Atom.t
+  | Union of Instance.t * bool  (* the other operand, probed first? *)
+  | Filter of string  (* drop a predicate *)
+  | Map of Term.t * Term.t  (* rename a term *)
+  | Probe
+
+let index_op_gen =
+  let open QCheck2.Gen in
+  oneof
+    [
+      map (fun a -> Add a) Tgen.ground_atom_gen;
+      map (fun a -> Remove a) Tgen.ground_atom_gen;
+      map2 (fun i b -> Union (i, b)) Tgen.instance_gen bool;
+      map (fun (p, _) -> Filter p) (oneofl Tgen.schema_preds);
+      map2 (fun a b -> Map (a, b)) Tgen.ground_term_gen Tgen.ground_term_gen;
+      return Probe;
+    ]
+
+let index_tests =
+  let open QCheck2 in
+  let apply i = function
+    | Add a -> Instance.add a i
+    | Remove a -> Instance.remove a i
+    | Union (j, probed) ->
+        if probed then ignore (index_agrees j);
+        Instance.union i j
+    | Filter p -> Instance.filter (fun a -> Atom.pred a <> p) i
+    | Map (t, t') -> Instance.map (Atom.map (fun x -> if Term.equal x t then t' else x)) i
+    | Probe -> i
+  in
+  [
+    QCheck_alcotest.to_alcotest
+      (Test.make ~name:"deferred index agrees with a filter after any op sequence" ~count:300
+         (QCheck2.Gen.triple Tgen.instance_gen QCheck2.Gen.bool
+            (QCheck2.Gen.list_size (QCheck2.Gen.int_range 0 12) index_op_gen))
+         (fun (i0, probe_first, ops) ->
+           if probe_first then ignore (index_agrees i0);
+           (* the same ops from a never-probed copy, probed only at the end *)
+           let cold = List.fold_left apply (Instance.of_list (Instance.to_list i0)) ops in
+           let warm, probes_ok =
+             List.fold_left
+               (fun (i, ok) op ->
+                 let i = apply i op in
+                 (i, ok && match op with Probe -> index_agrees i | _ -> true))
+               (i0, true) ops
+           in
+           probes_ok && Instance.equal cold warm && index_agrees warm && index_agrees cold));
+    Alcotest.test_case "probing empty leaves its descendants unindexed" `Quick (fun () ->
+        let a = Atom.make "r" [ Term.Const "a"; Term.Const "b" ] in
+        let b = Atom.make "r" [ Term.Const "b"; Term.Const "c" ] in
+        let st = Obs.Stats.create () in
+        Obs.with_sink (Obs.Stats.sink st) (fun () ->
+            Alcotest.(check int) "empty probe" 0
+              (Atom.Set.cardinal (Instance.with_pred_pos_term Instance.empty "r" 0 (Term.Const "a")));
+            let i = Instance.add a Instance.empty in
+            Alcotest.(check int) "no build before a probe" 0 (Obs.Stats.counter st "instance.index.build");
+            Alcotest.(check int) "first probe" 1
+              (Atom.Set.cardinal (Instance.with_pred_pos_term i "r" 0 (Term.Const "a")));
+            Alcotest.(check int) "built on the first probe" 1 (Obs.Stats.counter st "instance.index.build");
+            let j = Instance.add b i in
+            Alcotest.(check int) "maintained below an indexed parent" 1
+              (Atom.Set.cardinal (Instance.with_pred_pos_term j "r" 0 (Term.Const "b")));
+            ignore (Instance.with_pred_pos_term i "r" 0 (Term.Const "b"));
+            Alcotest.(check int) "no further builds" 1 (Obs.Stats.counter st "instance.index.build");
+            (* another position is another slice, built on its own first probe *)
+            Alcotest.(check int) "other slot" 1
+              (Atom.Set.cardinal (Instance.with_pred_pos_term j "r" 1 (Term.Const "c")));
+            Alcotest.(check int) "one more build" 2 (Obs.Stats.counter st "instance.index.build");
+            Alcotest.(check int) "atoms indexed" 3 (Obs.Stats.counter st "instance.index.atoms")));
+  ]
+
+let suite = [ ("core", unit_tests @ storage_tests @ property_tests @ index_tests) ]

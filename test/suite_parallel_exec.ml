@@ -154,9 +154,39 @@ let properties =
                 seq.Parallel.rounds par.Parallel.rounds));
   ]
 
+(* Instance's (pred, pos, term) index is filled by whichever probe comes
+   first; four domains racing to fill it on one shared, never-probed
+   instance must all read the same sets. *)
+let test_racing_index_fill () =
+  let c k = Term.Const (Printf.sprintf "c%d" k) in
+  let atoms = List.init 3000 (fun k -> Atom.make "r" [ c (k mod 50); c (k * 7 mod 61) ]) in
+  let keys = List.concat_map (fun pos -> List.init 61 (fun k -> (pos, c k))) [ 0; 1 ] in
+  let shared = Instance.of_list atoms in
+  let go = Atomic.make false in
+  let probe () =
+    while not (Atomic.get go) do
+      Domain.cpu_relax ()
+    done;
+    List.map (fun (pos, t) -> Atom.Set.elements (Instance.with_pred_pos_term shared "r" pos t)) keys
+  in
+  let workers = List.init 3 (fun _ -> Domain.spawn probe) in
+  Atomic.set go true;
+  let mine = probe () in
+  let theirs = List.map Domain.join workers in
+  let expected =
+    let all = Instance.with_pred_set (Instance.of_list atoms) "r" in
+    List.map
+      (fun (pos, t) -> Atom.Set.elements (Atom.Set.filter (fun a -> Term.equal (Atom.arg a pos) t) all))
+      keys
+  in
+  List.iter
+    (fun got -> Alcotest.(check bool) "same sets as a filter" true (List.equal (List.equal Atom.equal) expected got))
+    (mine :: theirs)
+
 let unit_tests =
   [
     Alcotest.test_case "map_array/map_list keep order" `Quick test_map_order;
+    Alcotest.test_case "four domains fill one instance index" `Quick test_racing_index_fill;
     Alcotest.test_case "inline and jobs:1 pools" `Quick test_inline;
     Alcotest.test_case "pool shape" `Quick test_pool_shape;
     Alcotest.test_case "exceptions propagate, pool survives" `Quick test_exceptions;

@@ -125,4 +125,134 @@ let unit_tests =
                      (not (Instance.is_empty (Program.database p)))));
   ]
 
-let suite = [ ("parser", unit_tests) ]
+(* Positions and messages of lexical errors, pinned so that the lexer can
+   be rewritten without moving any of them.  Columns count bytes from 1;
+   a '\r' before '\n' is an ordinary character at the end of its line. *)
+let lexical_errors =
+  [
+    ("r(a,b).\nr(a,#).", 2, 5, "unexpected character '#'");
+    ("r(a,b) - s(a).", 1, 8, "expected '>' after '-'");
+    ( "r(123foo).",
+      1,
+      3,
+      "malformed number \"123foo\" (identifiers must start with a lowercase letter)" );
+    ("r(\"abc", 1, 3, "unterminated string");
+    ("r(a,b).\r\nr(c,d).\r\nr(e,$).", 3, 5, "unexpected character '$'");
+    ("% c\n// c\n  r(a,@).", 3, 7, "unexpected character '@'");
+    ("% c\r\n// c\r\nr(a,b) -< s(a).", 3, 8, "expected '>' after '-'");
+    ("r(a).\nr(\"ab\ncd", 2, 3, "unterminated string");
+    ("r(\"a\nb\"). r(^).", 2, 8, "unexpected character '^'");
+    ("\tr(a,!).", 1, 6, "unexpected character '!'");
+    ( "r(a,b) -> s(b). % tail\n  12x(a).",
+      2,
+      3,
+      "malformed number \"12x\" (identifiers must start with a lowercase letter)" );
+    ("r(a). // x\r\n\r\n   \"open", 3, 4, "unterminated string");
+    (* a syntax error on line 1 loses to the lexical error on line 2:
+       the whole input is lexed before parsing starts *)
+    ("r(a,b) s(c).\nr(#).", 2, 3, "unexpected character '#'");
+  ]
+
+(* Syntax errors carry the offending token's position. *)
+let syntax_errors =
+  [
+    ("r(a,b).\r\nr(c d).", 2, 5, "expected ',' or ')', found identifier \"d\"");
+    ("% c\n\"x y\"(a).", 2, 1, "expected a predicate, found constant \"x y\"");
+    ("r(\"a\nb\") s(c).", 2, 5, "expected '.' or '->', found identifier \"s\"");
+  ]
+
+let error_position_tests =
+  let case kind (src, line, col, msg) =
+    Alcotest.test_case (kind ^ " error at " ^ String.escaped src) `Quick (fun () ->
+        let check (l, c, m) =
+          Alcotest.(check (triple int int string)) "line, col, msg" (line, col, msg) (l, c, m)
+        in
+        match Parser.parse_program src with
+        | exception Lexer.Error { line; col; msg } when kind = "lexical" -> check (line, col, msg)
+        | exception Parser.Error { line; col; msg } when kind = "syntax" -> check (line, col, msg)
+        | exception e -> Alcotest.failf "wrong exception %s" (Printexc.to_string e)
+        | _ -> Alcotest.fail "expected an error")
+  in
+  List.map (case "lexical") lexical_errors @ List.map (case "syntax") syntax_errors
+
+(* parse . print is the identity on the materialize benchmark's program
+   families (at small sizes). *)
+let family_round_trips =
+  let module S = Chase_workload.St_mapping in
+  let st (s : S.scenario) = (s.S.name, s.S.tgds, s.S.database) in
+  let families =
+    [
+      ( "ontology",
+        Parser.parse_tgds
+          "o1: employee(E) -> exists T. member(E,T).\no2: member(E,T) -> team(T).\n\
+           o3: team(T) -> exists E. member(E,T).\no4: member(E,T) -> employee(E).",
+        Chase_workload.Db_gen.unary ~pred:"employee" ~count:20 );
+      st (S.doctors ~patients:20);
+      st (S.deep ~depth:3 ~width:4);
+      st (S.join_heavy ~rows:10);
+      st (S.hub_propagation ~n:20 ~pad:40);
+      st (S.hub_exchange ~n:20 ~pad:40);
+    ]
+  in
+  List.map
+    (fun (name, tgds, database) ->
+      Alcotest.test_case ("parse . print round-trips " ^ name) `Quick (fun () ->
+          let p = Parser.parse_program (Printer.print_program (Program.make ~tgds ~database)) in
+          Alcotest.(check (list string))
+            "same TGDs" (List.map Tgd.to_string tgds)
+            (List.map Tgd.to_string (Program.tgds p));
+          Alcotest.(check bool) "same database" true (Instance.equal database (Program.database p))))
+    families
+
+(* Every token's (line, col) points at its own text in the source, on
+   random inputs over the lexer's interesting bytes. *)
+let position_property =
+  let offset_of src line col =
+    let rec go off l = if l = line then off + col - 1 else go (String.index_from src off '\n' + 1) (l + 1) in
+    go 0 1
+  in
+  let text_of (t : Token.t) =
+    match t with
+    | Ident s | Uident s | Number s -> Some s
+    | Quoted s -> Some ("\"" ^ s ^ "\"")
+    | Lparen -> Some "("
+    | Rparen -> Some ")"
+    | Comma -> Some ","
+    | Arrow -> Some "->"
+    | Dot -> Some "."
+    | Colon -> Some ":"
+    | Exists -> Some "exists"
+    | Bot -> Some "false"
+    | Eof -> None
+  in
+  let gen =
+    QCheck2.Gen.(
+      string_size ~gen:(oneofl [ 'a'; 'x'; 'X'; '_'; '1'; ' '; '\n'; '\r'; '\t'; '('; ')'; ','; '.';
+                                 ':'; '-'; '>'; '"'; '%'; '/'; '#' ])
+        (int_range 0 60))
+  in
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~name:"token positions point at the token's text" ~count:2000
+       ~print:String.escaped gen (fun src ->
+         match Lexer.tokenize src with
+         | exception Lexer.Error { line; col; _ } ->
+             let off = offset_of src line col in
+             off >= 0 && off < String.length src
+         | toks ->
+             List.for_all
+               (fun i ->
+                 let t = Lexer.token toks i in
+                 match text_of t.token with
+                 | None -> i = Lexer.count toks - 1
+                 | Some w ->
+                     let off = offset_of src t.line t.col in
+                     off + String.length w <= String.length src
+                     && String.sub src off (String.length w) = w)
+               (List.init (Lexer.count toks) Fun.id)))
+
+let suite =
+  [
+    ("parser", unit_tests @ [ position_property ]);
+    ("parser positions", error_position_tests);
+    ("parser round-trips", family_round_trips);
+  ]
