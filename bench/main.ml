@@ -932,12 +932,20 @@ let e14 () =
      over the frozen columnar store must not change the derivation. *)
   Chase_exec.Pool.with_pool ~jobs:2 (fun pool ->
       assert (same_derivation d_col (run ~pool `Columnar ())));
+  (* the store load alone ([Store.of_instance]), timed apart from the
+     chase so a row's [ns] splits into load and chase *)
+  let load backend =
+    Gc.compact ();
+    once_ns (fun () -> Store.of_instance backend db)
+  in
+  let comp_load_ns = load `Compiled in
+  let col_load_ns = load `Columnar in
   let steps = Derivation.length d_col in
   let alloc d = d.Bench_util.minor_words +. d.Bench_util.promoted_words in
   let wall_multiple = comp_ns /. col_ns in
   let alloc_multiple = alloc comp_gc /. alloc col_gc in
   List.iter
-    (fun (backend, ns, gc) ->
+    (fun (backend, ns, load_ns, gc) ->
       record "E14"
         ([
            ("family", Str s.Chase_workload.St_mapping.name);
@@ -945,10 +953,11 @@ let e14 () =
            ("facts", Int facts);
            ("chase_steps", Int steps);
            ("ns", Num ns);
+           ("load_ns", Num load_ns);
            ("steps_per_s", Num (float_of_int steps /. (ns /. 1e9)));
          ]
         @ gc_fields gc))
-    [ ("compiled", comp_ns, comp_gc); ("columnar", col_ns, col_gc) ];
+    [ ("compiled", comp_ns, comp_load_ns, comp_gc); ("columnar", col_ns, col_load_ns, col_gc) ];
   record "E14"
     [
       ("family", Str s.Chase_workload.St_mapping.name);
@@ -965,12 +974,13 @@ let e14 () =
          "E14  columnar interned store vs hash-indexed instance, %d facts (derivations \
           bit-identical, columnar re-checked at jobs=2)"
          facts)
-    ~header:[ "backend"; "steps"; "time"; "steps/s"; "alloc words"; "major GCs" ]
+    ~header:[ "backend"; "steps"; "time"; "load alone"; "steps/s"; "alloc words"; "major GCs" ]
     [
       [
         "compiled";
         string_of_int steps;
         pretty_ns comp_ns;
+        pretty_ns comp_load_ns;
         Printf.sprintf "%.0f" (float_of_int steps /. (comp_ns /. 1e9));
         Printf.sprintf "%.3g" (alloc comp_gc);
         string_of_int comp_gc.Bench_util.major_collections;
@@ -979,6 +989,7 @@ let e14 () =
         "columnar";
         string_of_int steps;
         pretty_ns col_ns;
+        pretty_ns col_load_ns;
         Printf.sprintf "%.0f" (float_of_int steps /. (col_ns /. 1e9));
         Printf.sprintf "%.3g" (alloc col_gc);
         string_of_int col_gc.Bench_util.major_collections;
@@ -987,6 +998,7 @@ let e14 () =
         "compiled/columnar";
         "";
         Printf.sprintf "%.2fx" wall_multiple;
+        Printf.sprintf "%.2fx" (comp_load_ns /. col_load_ns);
         "";
         Printf.sprintf "%.2fx" alloc_multiple;
         "";

@@ -141,7 +141,8 @@ type rel = {
   mutable base_n : int;  (* rows covered by [base_perm] *)
   mutable base_perm : int array array;  (* per position: rows [0, base_n) sorted by cell id *)
   index : Ptbl.t array;  (* per position: term id -> rows >= base_n *)
-  rowset : Imap.t;  (* id-tuple hash -> candidate rows *)
+  mutable rowset : Imap.t;  (* id-tuple hash -> candidate rows, for rows [0, hashed) *)
+  mutable hashed : int;  (* rows the rowset covers; see [sync_rowset] *)
   scratch : int array;  (* per-add id buffer; mutation is single-domain *)
 }
 
@@ -166,11 +167,11 @@ let create ?(size_hint = 64) () =
 
 let rec pow2_ge n k = if k >= n then k else pow2_ge n (2 * k)
 
-(* [rows_hint] pre-sizes the columns and the rowset: a bulk load that
-   knows its row count up front never grows a column or rehashes the
-   rowset (the biggest table — one entry per row). *)
+(* [rows_hint] pre-sizes the columns: a bulk load that knows its row
+   count up front never grows a column.  The rowset starts at its
+   smallest; [sync_rowset] sizes it when it first has rows to cover. *)
 let make_rel ?(rows_hint = 16) pred arity =
-  let cap = pow2_ge (max 16 rows_hint) 16 in
+  let cap = pow2_ge rows_hint 16 in
   {
     pred;
     arity;
@@ -180,7 +181,8 @@ let make_rel ?(rows_hint = 16) pred arity =
     base_n = 0;
     base_perm = [||];
     index = Array.init arity (fun _ -> Ptbl.create 16);
-    rowset = Imap.create (2 * cap);
+    rowset = Imap.create 2;
+    hashed = 0;
     scratch = Array.make (max 1 arity) 0;
   }
 
@@ -234,6 +236,35 @@ let base_range r pos id =
     (first, !lo)
   end
 
+(* [mem] on a bulk-loaded relation whose rowset is not built yet: scan
+   the narrowest base-tier range for a row with cells [ids].  Read-only,
+   like every probe of a frozen store. *)
+let base_mem r ids =
+  if r.arity = 0 then r.nrows > 0
+  else begin
+    let best = ref 0 and lo = ref 0 and hi = ref max_int in
+    for pos = 0 to r.arity - 1 do
+      let l, h = base_range r pos ids.(pos) in
+      if h - l < !hi - !lo then begin
+        best := pos;
+        lo := l;
+        hi := h
+      end
+    done;
+    let perm = r.base_perm.(!best) in
+    let found = ref false and k = ref !lo in
+    while (not !found) && !k < !hi do
+      let row = perm.(!k) in
+      let ok = ref true in
+      for i = 0 to r.arity - 1 do
+        if r.cols.(i).(row) <> ids.(i) then ok := false
+      done;
+      if !ok then found := true;
+      incr k
+    done;
+    !found
+  end
+
 let variants c pred = Option.value (Hashtbl.find_opt c.by_name pred) ~default:[]
 
 let rel_of_slow ?rows_hint c pred arity =
@@ -263,8 +294,31 @@ let hash_ids ids arity =
   done;
   !h
 
-(* Is there a live row of [r] whose cells equal [ids]?  Probes the
-   rowset multimap inline: every slot holding hash [h] names a
+(* The rowset is built on the first [add] to a relation, not during the
+   bulk load: a relation nothing is ever added to (most of a large
+   database) never allocates or fills it.  Hashes rows [hashed, nrows)
+   in — all the bulk-loaded rows the first time, none afterwards, since
+   [add] keeps [hashed = nrows].  So a relation is in one of two
+   states: fully hashed, or bulk-loaded and unhashed ([hashed = 0],
+   [nrows = base_n]), where [mem] answers through the base tier.
+   Uses [scratch], so call it before filling that with a new row. *)
+let sync_rowset r =
+  if r.hashed < r.nrows then begin
+    let rows = r.nrows - r.hashed in
+    if r.hashed = 0 then r.rowset <- Imap.create (2 * r.cap);
+    for row = r.hashed to r.nrows - 1 do
+      for i = 0 to r.arity - 1 do
+        r.scratch.(i) <- r.cols.(i).(row)
+      done;
+      Imap.add r.rowset (hash_ids r.scratch r.arity) row
+    done;
+    r.hashed <- r.nrows;
+    Obs.incr "cinstance.rowset.build";
+    Obs.count "cinstance.rowset.rows" rows
+  end
+
+(* Is there a row of [r] in [0, hashed) whose cells equal [ids]?  Probes
+   the rowset multimap inline: every slot holding hash [h] names a
    candidate row whose columns are then compared cell by cell. *)
 let row_mem r h ids =
   let keys = r.rowset.Imap.keys and vals = r.rowset.Imap.vals in
@@ -295,22 +349,16 @@ let grow r =
       r.cols;
   r.cap <- cap'
 
-(* [pending] tracking is skipped during [of_instance] bulk load: the
-   source instance itself becomes the snapshot, so consing 10M atoms
-   onto [pending] only to drop them would double load allocation.
-   [dedup:false] likewise skips the rowset probe when the source is a
-   persistent set and cannot contain the row already, and
-   [index:false] defers per-position indexing to the [build_base]
-   counting sort that follows the load. *)
-let add_atom c atom ~track ~dedup ~index =
+let add c atom =
   let pred = Atom.pred atom and arity = Atom.arity atom in
   let r = rel_of c pred arity in
+  sync_rowset r;
   let ids = r.scratch in
   for i = 0 to arity - 1 do
     ids.(i) <- Term_interner.intern c.interner (Atom.arg atom i)
   done;
   let h = hash_ids ids arity in
-  if dedup && row_mem r h ids then begin
+  if row_mem r h ids then begin
     Obs.incr "cinstance.dup";
     false
   end
@@ -320,24 +368,28 @@ let add_atom c atom ~track ~dedup ~index =
     let row = r.nrows in
     for i = 0 to arity - 1 do
       r.cols.(i).(row) <- ids.(i);
-      if index then Ptbl.add_row r.index.(i) ids.(i) row
+      Ptbl.add_row r.index.(i) ids.(i) row
     done;
     Imap.add r.rowset h row;
     r.nrows <- row + 1;
+    r.hashed <- row + 1;
     c.size <- c.size + 1;
-    if track then c.pending <- atom :: c.pending;
+    c.pending <- atom :: c.pending;
     true
   end
 
-let add c atom = add_atom c atom ~track:true ~dedup:true ~index:true
-
+(* The bulk load writes interned cells straight into the pre-sized
+   columns: the source is a persistent set, so there is nothing to
+   dedup (the rowset waits for the first [add]); per-position indexing
+   is the [build_base] counting sort that follows; and the source
+   instance itself becomes the snapshot, so nothing is consed onto
+   [pending]. *)
 let of_instance i =
-  let c = create ~size_hint:(max 64 (2 * Instance.cardinal i)) () in
-  (* sizing pass: count rows per (predicate, arity) so every relation
-     is born at final capacity — the bulk load below then never copies
-     a column or rehashes a rowset (the per-position posting tables
-     still grow; their cardinality is not knowable without a third
-     pass). *)
+  let c = create ~size_hint:(max 64 (Instance.cardinal i)) () in
+  (* sizing pass: count rows per (predicate, arity) so every relation's
+     columns are born at final capacity — the bulk load below then
+     never copies a column (the per-position posting tables of later
+     adds, and the rowset, are sized when they are first used). *)
   let counts : (string * int, int ref) Hashtbl.t = Hashtbl.create 16 in
   (* [Instance.iter] visits atoms in [Atom.compare] order, so each
      (pred, arity) arrives as one contiguous run and the memo makes
@@ -362,8 +414,24 @@ let of_instance i =
       end)
     i;
   Hashtbl.iter (fun (pred, arity) n -> ignore (rel_of_slow ~rows_hint:!n c pred arity)) counts;
-  Instance.iter (fun a -> ignore (add_atom c a ~track:false ~dedup:false ~index:false)) i;
-  Hashtbl.iter (fun _ rs -> List.iter build_base rs) c.by_name;
+  Instance.iter
+    (fun a ->
+      let r = rel_of c (Atom.pred a) (Atom.arity a) in
+      let row = r.nrows in
+      for k = 0 to r.arity - 1 do
+        r.cols.(k).(row) <- Term_interner.intern c.interner (Atom.arg a k)
+      done;
+      r.nrows <- row + 1)
+    i;
+  Hashtbl.iter
+    (fun _ rs ->
+      List.iter
+        (fun r ->
+          build_base r;
+          Obs.count "cinstance.add" r.nrows)
+        rs)
+    c.by_name;
+  c.size <- Instance.cardinal i;
   (* the snapshot is free when it starts from the source instance *)
   c.snap <- i;
   c.pending <- [];
@@ -386,7 +454,8 @@ let mem c atom =
         let id = Term_interner.find c.interner (Atom.arg atom i) in
         if id < 0 then known := false else ids.(i) <- id
       done;
-      !known && row_mem r (hash_ids ids arity) ids
+      !known
+      && if r.hashed = r.nrows then row_mem r (hash_ids ids arity) ids else base_mem r ids
 
 let cardinal c = c.size
 

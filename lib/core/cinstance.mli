@@ -13,6 +13,10 @@
       {!Minstance};
     - duplicate detection hashes the id tuple and compares candidate
       rows by scanning columns — no structural [Atom.equal] either.
+      A relation's dedup table is built by the first {!add} to it, not
+      by the bulk load ({!of_instance}): a loaded relation nothing is
+      added to never pays for one, and until then {!mem} answers
+      through the load's sorted base tier instead.
 
     Join plans probe the columns directly through the {!Rel} API
     ({!Plan.source_of_cinstance}), comparing ids in the innermost loop.
@@ -30,13 +34,22 @@ type t
 (** A fresh, empty columnar instance. *)
 val create : ?size_hint:int -> unit -> t
 
-(** Columnar copy of a persistent instance. *)
+(** Columnar copy of a persistent instance: interns every term and
+    fills pre-sized columns, then counting-sorts each column into the
+    base tier.  Hashes no row — see {!add}. *)
 val of_instance : Instance.t -> t
 
 (** [add c a] inserts [a]; returns [true] when the atom is new.
-    The only mutating operation. *)
+    The only mutating operation.  The first [add] to a bulk-loaded
+    relation first hashes its loaded rows into the relation's dedup
+    table (emitting [cinstance.rowset.build] and
+    [cinstance.rowset.rows]). *)
 val add : t -> Atom.t -> bool
 
+(** Read-only, like every probe: on a relation whose dedup table is not
+    built yet it searches the base tier (a binary search per position,
+    then a cell compare over the narrowest range) rather than building
+    the table. *)
 val mem : t -> Atom.t -> bool
 val cardinal : t -> int
 

@@ -8,12 +8,21 @@
     terms via {!term_of}.
 
     Ids are assigned in first-intern order starting at 0 and are never
-    reused, so they are stable for the lifetime of the interner. *)
+    reused, so they are stable for the lifetime of the interner.
+
+    The forward table is a flat open-addressing [int array], probed
+    linearly from the term's hash.  Each slot packs the hash beside the
+    id, so a probe reads the reverse array (to check equality) only on
+    a full hash match, and growing the table re-places slots without
+    rehashing terms.  Each call hashes its term once, and interning a
+    new term costs one probe and two array writes — no per-entry
+    allocation. *)
 
 type t
 
-(** A fresh interner.  [size_hint] sizes the initial tables; growth past
-    it is transparent. *)
+(** A fresh interner.  [size_hint] is the number of distinct terms the
+    tables hold before their first growth; growth past it is
+    transparent and keeps every id. *)
 val create : ?size_hint:int -> unit -> t
 
 (** [intern t term] returns the id of [term], assigning the next dense

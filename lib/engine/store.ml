@@ -32,9 +32,10 @@ let of_cinstance c =
   }
 
 let of_instance backend db =
-  match backend with
-  | `Compiled -> of_minstance (Minstance.of_instance db)
-  | `Columnar -> of_cinstance (Cinstance.of_instance db)
+  Obs.span "store.load" (fun () ->
+      match backend with
+      | `Compiled -> of_minstance (Minstance.of_instance db)
+      | `Columnar -> of_cinstance (Cinstance.of_instance db))
 
 let backend_of_name s =
   match Backend.of_name s with

@@ -23,7 +23,8 @@ type t = {
 val of_minstance : Minstance.t -> t
 val of_cinstance : Cinstance.t -> t
 
-(** A fresh store of the given backend, loaded with the database. *)
+(** A fresh store of the given backend, loaded with the database,
+    inside an [Obs] span ["store.load"]. *)
 val of_instance : backend -> Instance.t -> t
 
 (** {!Backend.of_name} restricted to store-backed backends: ["naive"]

@@ -231,7 +231,21 @@ let storage_tests =
         (fun () ->
           let it = Term_interner.create ~size_hint:1 () in
           let terms = List.init 100 (fun i -> c (Printf.sprintf "k%02d" i)) in
-          let ids = List.map (Term_interner.intern it) terms in
+          (* after each doubling of the tables, every earlier id is
+             still found *)
+          let ids =
+            List.mapi
+              (fun i t ->
+                let id = Term_interner.intern it t in
+                if i land (i + 1) = 0 then
+                  List.iteri
+                    (fun j t' ->
+                      if j <= i then
+                        Alcotest.(check int) "found after growth" j (Term_interner.find it t'))
+                    terms;
+                id)
+              terms
+          in
           Alcotest.(check (list int)) "dense ids" (List.init 100 Fun.id) ids;
           List.iteri
             (fun i t -> Alcotest.check term "roundtrip" t (Term_interner.term_of it i))
@@ -239,6 +253,52 @@ let storage_tests =
           Alcotest.(check int) "cardinal" 100 (Term_interner.cardinal it);
           Alcotest.(check int) "re-intern is stable" 7 (Term_interner.intern it (c "k07"));
           Alcotest.(check int) "find on missing" (-1) (Term_interner.find it (c "zz")));
+      Alcotest.test_case "interner: Const and Null with one label get distinct ids" `Quick
+        (fun () ->
+          let it = Term_interner.create () in
+          let ic = Term_interner.intern it (c "a") and inull = Term_interner.intern it (n "a") in
+          Alcotest.(check bool) "distinct" true (ic <> inull);
+          Alcotest.(check int) "find const" ic (Term_interner.find it (c "a"));
+          Alcotest.(check int) "find null" inull (Term_interner.find it (n "a"));
+          Alcotest.check term "const back" (c "a") (Term_interner.term_of it ic);
+          Alcotest.check term "null back" (n "a") (Term_interner.term_of it inull));
+      Alcotest.test_case "cinstance: bulk-loaded 0-ary relation before and after an add" `Quick
+        (fun () ->
+          (* position 0 does not exist, so [mem] cannot go through the
+             base tier's ranges *)
+          let p0 = Atom.make "p" [] in
+          let ci = Cinstance.of_instance (Instance.of_list [ p0; a [ c "x" ] ]) in
+          Alcotest.(check bool) "mem before any add" true (Cinstance.mem ci p0);
+          Alcotest.(check bool) "other 0-ary" false (Cinstance.mem ci (Atom.make "q" []));
+          Alcotest.(check bool) "re-add is a dup" false (Cinstance.add ci p0);
+          Alcotest.(check bool) "mem after" true (Cinstance.mem ci p0);
+          Alcotest.(check int) "cardinal" 2 (Cinstance.cardinal ci));
+      Alcotest.test_case "cinstance: dedup table is built on the first add, not the load" `Quick
+        (fun () ->
+          let x = c "x" and y = c "y" and z = c "z" in
+          let db = Instance.of_list [ a [ x; y ]; a [ y; z ]; a ~p:"s" [ x; y ]; a ~p:"s" [ y; z ] ] in
+          let st = Obs.Stats.create () in
+          let counter = Obs.Stats.counter st in
+          Obs.with_sink (Obs.Stats.sink st) (fun () ->
+              let ci = Cinstance.of_instance db in
+              Alcotest.(check int) "load counts adds" 4 (counter "cinstance.add");
+              Alcotest.(check int) "no dedup table at load" 0 (counter "cinstance.rowset.build");
+              Alcotest.(check bool) "new r row" true (Cinstance.add ci (a [ z; x ]));
+              Alcotest.(check int) "built for r" 1 (counter "cinstance.rowset.build");
+              Alcotest.(check int) "r's base rows hashed" 2 (counter "cinstance.rowset.rows");
+              (* s has never been added to: its rows answer through the base tier *)
+              Alcotest.(check bool) "base row" true (Cinstance.mem ci (a ~p:"s" [ y; z ]));
+              Alcotest.(check bool) "base row, other" true (Cinstance.mem ci (a ~p:"s" [ x; y ]));
+              Alcotest.(check bool) "cells of two rows" false (Cinstance.mem ci (a ~p:"s" [ x; z ]));
+              Alcotest.(check bool) "swapped cells" false (Cinstance.mem ci (a ~p:"s" [ y; x ]));
+              Alcotest.(check bool) "never-interned term" false (Cinstance.mem ci (a ~p:"s" [ x; c "w" ]));
+              Alcotest.(check bool) "added row in r" true (Cinstance.mem ci (a [ z; x ]));
+              Alcotest.(check bool) "dup of an r base row" false (Cinstance.add ci (a [ y; z ]));
+              Alcotest.(check int) "s still unhashed" 1 (counter "cinstance.rowset.build");
+              Alcotest.(check bool) "dup of an s base row" false (Cinstance.add ci (a ~p:"s" [ x; y ]));
+              Alcotest.(check int) "built for s" 2 (counter "cinstance.rowset.build");
+              Alcotest.(check int) "rows hashed" 4 (counter "cinstance.rowset.rows");
+              Alcotest.(check int) "cardinal" 5 (Cinstance.cardinal ci)));
       Alcotest.test_case "cinstance: find_id on a never-interned term" `Quick (fun () ->
           let ci = Cinstance.of_instance (Instance.of_list [ a [ c "x"; c "y" ] ]) in
           Alcotest.(check int) "ghost id" (-1) (Cinstance.find_id ci (c "ghost"));

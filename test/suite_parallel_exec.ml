@@ -183,8 +183,38 @@ let test_racing_index_fill () =
     (fun got -> Alcotest.(check bool) "same sets as a filter" true (List.equal (List.equal Atom.equal) expected got))
     (mine :: theirs)
 
+(* [Term_interner.find] is read-only: four domains probing one frozen
+   interner, hits and misses interleaved, must all read the ids the
+   interning order assigned. *)
+let test_racing_interner_find () =
+  let t k = if k mod 3 = 0 then Term.Null (string_of_int k) else Term.Const (string_of_int k) in
+  let it = Term_interner.create ~size_hint:1 () in
+  for k = 0 to 4999 do
+    ignore (Term_interner.intern it (t k))
+  done;
+  (* ids 0..4999 are interned; 5000..5999 are misses *)
+  let probes = List.init 6000 (fun k -> ((k * 7919) + 13) mod 6000) in
+  let go = Atomic.make false in
+  let probe () =
+    while not (Atomic.get go) do
+      Domain.cpu_relax ()
+    done;
+    List.map (fun k -> Term_interner.find it (t k)) probes
+  in
+  let workers = List.init 3 (fun _ -> Domain.spawn probe) in
+  Atomic.set go true;
+  let mine = probe () in
+  let theirs = List.map Domain.join workers in
+  let expected = List.map (fun k -> if k < 5000 then k else -1) probes in
+  List.iter
+    (fun got -> Alcotest.(check (list int)) "ids in interning order" expected got)
+    (mine :: theirs);
+  Alcotest.(check int) "no reader interned" 5000 (Term_interner.cardinal it)
+
 let unit_tests =
   [
+    Alcotest.test_case "four domains race find on a frozen interner" `Quick
+      test_racing_interner_find;
     Alcotest.test_case "map_array/map_list keep order" `Quick test_map_order;
     Alcotest.test_case "four domains fill one instance index" `Quick test_racing_index_fill;
     Alcotest.test_case "inline and jobs:1 pools" `Quick test_inline;
