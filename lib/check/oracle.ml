@@ -224,56 +224,104 @@ let check_ochase ~budgets tgds db =
 
 (* Incremental maintenance (lib/engine/incremental.ml): replay the
    database as a deterministic assert/chase interleaving — k batches,
-   a chase after each — and require the warm session's final instance
-   to be a model of the accumulated facts, hom-equivalent to the
-   from-scratch chase.  Skipped (not failed) when either side runs out
-   of budget.  The split is by atom index modulo k over the instance's
-   canonical atom order, so the interleaving is reproducible from the
-   case alone. *)
+   a chase after each — then change the saturated session twice more,
+   each change followed by a chase:
+   - the base facts of later batches that a chase step had already
+     derived when they were asserted (kept by the step that derives
+     them), then those facts again;
+   - every other batch (the odd ones);
+   and, on a second session loaded with the whole database and stopped
+   by a step budget halfway, the even-indexed facts.  After every chase
+   the session must be a model of its current base, hom-equivalent to
+   the from-scratch chase of that base.  A scenario whose chase, or
+   whose from-scratch counterpart, runs out of budget is skipped (not
+   failed).  Batches split the canonical atom order by index modulo k,
+   so every interleaving is reproducible from the case alone. *)
 let check_incremental ~pool ~budgets ~backends tgds db =
   guarded "incremental" @@ fun () ->
   let max_steps = budgets.restricted_steps in
-  let scratch =
-    Restricted.run ~strategy:Restricted.Fifo ~max_steps ~naming:`Canonical ~pool tgds db
+  let scratches = ref [] in
+  let scratch base =
+    match List.find_opt (fun (b, _) -> Instance.equal b base) !scratches with
+    | Some (_, d) -> d
+    | None ->
+        let d =
+          Restricted.run ~strategy:Restricted.Fifo ~max_steps ~naming:`Canonical ~pool tgds base
+        in
+        let d = if Derivation.status d = Derivation.Terminated then Some d else None in
+        scratches := (base, d) :: !scratches;
+        d
   in
-  if Derivation.status scratch <> Derivation.Terminated then []
-  else
-    let atoms = Instance.to_list db in
-    List.concat_map
-      (fun (k, backend) ->
+  let settle s = (Incremental.chase ~epool:pool ~max_steps s).Incremental.saturated in
+  (* the session, just chased, against the from-scratch chase of its base *)
+  let agree ~what s saturated =
+    let base = Incremental.base s in
+    match scratch base with
+    | Some d when saturated ->
+        let final = Incremental.instance s in
+        if not (Model_check.is_model ~database:base ~tgds final) then
+          fail "incremental-equivalence" "%s: session result is not a model of its base" what
+        else if not (Model_check.hom_equivalent final (Derivation.final d)) then
+          fail "incremental-equivalence"
+            "%s: session result (%d atoms) is not hom-equivalent to the from-scratch chase (%d \
+             atoms)"
+            what (Instance.cardinal final)
+            (Instance.cardinal (Derivation.final d))
+        else []
+    | _ -> []
+  in
+  match scratch db with
+  | None -> []
+  | Some whole ->
+      let atoms = Instance.to_list db in
+      let split k = List.init k (fun i -> List.filteri (fun j _ -> j mod k = i) atoms) in
+      let interleaved (k, backend) =
         let bname = Restricted.backend_name (backend :> Restricted.backend) in
-        let batch i = List.filteri (fun j _ -> j mod k = i) atoms in
+        let what step = Printf.sprintf "interleaving k=%d/%s, %s" k bname step in
+        let batches = split k in
         let s = Incremental.create ~strategy:Restricted.Fifo ~backend tgds Instance.empty in
-        let exhausted = ref false in
-        for i = 0 to k - 1 do
-          if not !exhausted then begin
-            ignore (Incremental.assert_atoms s (batch i));
-            let o = Incremental.chase ~epool:pool ~max_steps s in
-            if not o.Incremental.saturated then exhausted := true
-          end
-        done;
-        if !exhausted then []
+        let derived = ref [] in
+        let saturated =
+          List.for_all
+            (fun batch ->
+              let before = Incremental.instance s in
+              derived := List.filter (fun a -> Instance.mem a before) batch @ !derived;
+              ignore (Incremental.assert_atoms s batch);
+              settle s)
+            batches
+        in
+        if not saturated then []
         else
-          let final = Incremental.instance s in
-          let model =
-            if Model_check.is_model ~database:db ~tgds final then []
-            else
-              fail "incremental-equivalence"
-                "interleaving k=%d/%s: warm session result is not a model of the accumulated \
-                 facts"
-                k bname
+          let step what' change =
+            change s;
+            agree ~what:(what what') s (settle s)
           in
-          let equiv =
-            if Model_check.hom_equivalent final (Derivation.final scratch) then []
+          let odd = List.concat (List.filteri (fun i _ -> i mod 2 = 1) batches) in
+          let first = agree ~what:(what "asserted") s true in
+          let derived_steps =
+            if !derived = [] then []
             else
-              fail "incremental-equivalence"
-                "interleaving k=%d/%s: warm session result (%d atoms) is not hom-equivalent \
-                 to the from-scratch chase (%d atoms)"
-                k bname (Instance.cardinal final)
-                (Instance.cardinal (Derivation.final scratch))
+              step "retracted derived base facts" (fun s ->
+                  ignore (Incremental.retract_atoms s !derived))
+              @ step "re-asserted them" (fun s -> ignore (Incremental.assert_atoms s !derived))
           in
-          model @ equiv)
-      (List.concat_map (fun b -> [ (2, b); (3, b) ]) backends)
+          first @ derived_steps
+          @ step "retracted the odd batches" (fun s -> ignore (Incremental.retract_atoms s odd))
+      in
+      let stopped backend =
+        let bname = Restricted.backend_name (backend :> Restricted.backend) in
+        let s = Incremental.create ~strategy:Restricted.Fifo ~backend tgds db in
+        let o = Incremental.chase ~epool:pool ~max_steps:(max 1 (Derivation.length whole / 2)) s in
+        if o.Incremental.saturated then []
+        else begin
+          ignore (Incremental.retract_atoms s (List.filteri (fun j _ -> j mod 2 = 0) atoms));
+          agree
+            ~what:(Printf.sprintf "budget-stopped/%s, retracted the even facts" bname)
+            s (settle s)
+        end
+      in
+      List.concat_map interleaved (List.concat_map (fun b -> [ (2, b); (3, b) ]) backends)
+      @ List.concat_map stopped backends
 
 let check_decider ~pool ~budgets ?(portfolio = false) tgds db =
   match Chase_termination.Decider.decide ~pool tgds with

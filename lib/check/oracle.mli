@@ -31,7 +31,10 @@
       ([Incremental]) in k batches with a chase after each must land
       on a model of the accumulated facts that is hom-equivalent to
       the from-scratch chase (both are universal models of the same
-      database) — replayed over both store backends.
+      database) — replayed over both store backends.  The same holds
+      after each retraction that follows: of base facts a step had
+      already derived (and their re-assert), of every other batch, and
+      of half the facts of a session stopped by its step budget.
     - [decider-crash] — [Decider.decide] (and, in portfolio mode,
       [Decider.decide_portfolio]) must not raise.
     - [decider-wa] — weak acyclicity refutes a [Non_terminating] answer

@@ -66,6 +66,16 @@ let tp_push tbl key a =
       b.count <- b.count + 1
   | None -> TpTbl.add tbl key { atoms = [ a ]; count = 1 }
 
+(* Index a new atom (not yet a member). *)
+let insert m a =
+  AtomTbl.add m.members a ();
+  let p = Atom.pred a in
+  bucket_push m.by_pred p a;
+  for k = 0 to Atom.arity a - 1 do
+    tp_push m.by_term (p, k, Atom.arg a k) a
+  done;
+  m.size <- m.size + 1
+
 let add m a =
   if AtomTbl.mem m.members a then begin
     Obs.incr "minstance.dup";
@@ -73,23 +83,20 @@ let add m a =
   end
   else begin
     Obs.incr "minstance.add";
-    AtomTbl.add m.members a ();
-    bucket_push m.by_pred (Atom.pred a) a;
-    let p = Atom.pred a in
-    for k = 0 to Atom.arity a - 1 do
-      tp_push m.by_term (p, k, Atom.arg a k) a
-    done;
-    m.size <- m.size + 1;
+    insert m a;
     m.pending <- a :: m.pending;
     true
   end
 
+(* The atoms of an instance are distinct, so the bulk load skips the
+   membership test, and the snapshot is free: it is the source
+   instance. *)
 let of_instance i =
-  let m = create ~size_hint:(max 64 (2 * Instance.cardinal i)) () in
-  Instance.iter (fun a -> ignore (add m a)) i;
-  (* the snapshot is free when it starts from the source instance *)
+  let n = Instance.cardinal i in
+  let m = create ~size_hint:(max 64 (2 * n)) () in
+  Instance.iter (insert m) i;
+  Obs.count "minstance.add" n;
   m.snap <- i;
-  m.pending <- [];
   m
 
 let with_pred m p =

@@ -12,9 +12,12 @@
    inactive (or applied) before the assert stays inactive forever, and
    every trigger that could have become active matches a new atom.
 
-   Retraction breaks monotonicity, so it falls back honestly: the state
-   is rebuilt from the surviving base facts and the next chase is a
-   full re-chase ([warm] drops to false).
+   Retraction is delete-and-rederive over a step log.  Every applied
+   trigger is logged with its result; one forward pass over the log
+   keeps the steps whose body is still derivable from the surviving
+   base, the atoms only dead steps derived are deleted, and the
+   triggers whose head one of the deleted atoms may have witnessed are
+   re-seeded through [Plan.iter_witness_homs].
 
    Nulls are always canonical (Def 3.1, [gen = None]): a trigger firing
    before or after a resume produces the same atom, so resumed runs
@@ -34,6 +37,21 @@ type outcome = {
   limit : limit option;
 }
 
+module AtomTbl = Hashtbl.Make (Atom)
+
+(* One applied trigger and its result.  [owned] are the result atoms
+   this step is the earliest logged derivation of: atoms it added to
+   the store, plus atoms whose earlier derivations a retraction killed.
+   A result atom the step does not own was already there when it fired
+   — asserted, or derived by an earlier step that owns it.  The body
+   image is recomputed when a retraction needs it, so an entry costs a
+   few words beyond the trigger and atoms the pool and store hold. *)
+type step = {
+  trigger : Trigger.t;
+  produced : Atom.t list;
+  mutable owned : Atom.t list;  (* [== produced] when it owns them all *)
+}
+
 type t = {
   tgds : Tgd.t list;
   strategy : Restricted.strategy;
@@ -44,8 +62,10 @@ type t = {
   mutable memo : Plan.Head_memo.t;
   mutable pool : Restricted.Pool.t;
   mutable saturated : bool;
-  mutable warm : bool;  (* some chase saturated since the last rebuild *)
-  mutable rebuilds : int;
+  mutable warm : bool;  (* some chase saturated since the last retraction *)
+  mutable log : step array;  (* applied triggers, oldest first *)
+  mutable log_len : int;
+  mutable retractions : int;
   mutable steps_total : int;
   mutable chases : int;
 }
@@ -55,8 +75,7 @@ let plan_of t tgd =
   | Some (_, p) -> p
   | None -> Plan.of_tgd tgd
 
-(* Seed the pool with every trigger on the current instance — the cold
-   start, also the restart point after a retraction. *)
+(* Seed the pool with every trigger on the database — the cold start. *)
 let seed_pool t =
   let batch = ref [] in
   List.iter
@@ -78,7 +97,9 @@ let create ?(strategy = Restricted.Fifo) ?(backend = `Compiled) tgds database =
       pool = Restricted.Pool.create strategy;
       saturated = false;
       warm = false;
-      rebuilds = 0;
+      log = [||];
+      log_len = 0;
+      retractions = 0;
       steps_total = 0;
       chases = 0;
     }
@@ -96,7 +117,7 @@ let saturated t = t.saturated
 let warm t = t.warm
 let steps_total t = t.steps_total
 let chases t = t.chases
-let rebuilds t = t.rebuilds
+let retractions t = t.retractions
 
 (* Delta discovery for one new atom: one [plan.delta.seed] pass per
    plan, pushed as a canonically sorted batch (same discipline as
@@ -128,27 +149,92 @@ let assert_atoms t atoms =
   end;
   added
 
-(* Rebuild from the surviving base: fresh instance, memo and frontier.
-   Derived atoms, and any memoized head satisfaction that depended on
-   them, are discarded wholesale — retraction is not monotone, so
-   nothing finer is sound without provenance tracking. *)
-let rebuild t =
-  t.store <- Store.of_instance t.backend t.base;
-  t.memo <- Plan.Head_memo.create ();
+let body_of trigger = Substitution.apply_atoms (Trigger.hom trigger) (Tgd.body (Trigger.tgd trigger))
+
+let log_step t step =
+  if t.log_len = Array.length t.log then begin
+    let log' = Array.make (max 16 (2 * t.log_len)) step in
+    Array.blit t.log 0 log' 0 t.log_len;
+    t.log <- log'
+  end;
+  t.log.(t.log_len) <- step;
+  t.log_len <- t.log_len + 1
+
+(* Over-delete: one forward pass over the log with [gone], the atoms
+   not derivable so far, starting from the retracted facts.  A step
+   whose body meets [gone] dies and its owned atoms join [gone] (unless
+   the base still asserts them); a surviving step's result leaves
+   [gone] again, and the step takes ownership of what it rescued.  The
+   surviving steps are compacted in place; [gone] ends as exactly the
+   atoms of the old instance that no surviving step or base fact
+   supports. *)
+let over_delete t retracted =
+  let gone = AtomTbl.create 64 in
+  List.iter (fun a -> AtomTbl.replace gone a ()) retracted;
+  let kept = ref 0 in
+  for i = 0 to t.log_len - 1 do
+    let s = t.log.(i) in
+    if List.exists (AtomTbl.mem gone) (body_of s.trigger) then
+      List.iter (fun a -> if not (Instance.mem a t.base) then AtomTbl.replace gone a ()) s.owned
+    else begin
+      List.iter
+        (fun a ->
+          if AtomTbl.mem gone a then begin
+            AtomTbl.remove gone a;
+            if not (List.memq a s.owned) then s.owned <- a :: s.owned
+          end)
+        s.produced;
+      t.log.(!kept) <- s;
+      incr kept
+    end
+  done;
+  if !kept = 0 then t.log <- [||] else Array.fill t.log !kept (t.log_len - !kept) t.log.(0);
+  t.log_len <- !kept;
+  gone
+
+(* Replay: reload the store from the survivors, keep the pending
+   triggers whose body survived in a fresh pool (the old pool's dedup
+   set remembers every trigger it ever saw, and would drop the ones a
+   later assert rediscovers), and push every trigger a deleted atom may
+   have witnessed the head of. *)
+let replay t gone =
+  let deleted = List.sort Atom.compare (AtomTbl.fold (fun a () acc -> a :: acc) gone []) in
+  let survivors =
+    List.fold_left (fun i a -> Instance.remove a i) (t.store.Store.snapshot ()) deleted
+  in
+  t.store <- Store.of_instance t.backend survivors;
+  let pending = ref [] in
+  Restricted.Pool.iter t.pool (fun trigger ->
+      if not (List.exists (AtomTbl.mem gone) (body_of trigger)) then
+        pending := trigger :: !pending);
   t.pool <- Restricted.Pool.create t.strategy;
-  t.saturated <- false;
-  t.warm <- false;
-  t.rebuilds <- t.rebuilds + 1;
-  Obs.incr "session.rebuild";
-  seed_pool t
+  Restricted.Pool.push_batch t.pool !pending;
+  let kept = Restricted.Pool.size t.pool in
+  List.iter
+    (fun atom ->
+      let batch = ref [] in
+      List.iter
+        (fun (tgd, p) ->
+          Plan.iter_witness_homs p t.store.Store.source atom (fun hom ->
+              batch := Trigger.make tgd hom :: !batch))
+        t.plans;
+      Restricted.Pool.push_batch t.pool !batch)
+    deleted;
+  Obs.count "session.retract.deleted" (List.length deleted);
+  Obs.count "session.retract.reseeded" (Restricted.Pool.size t.pool - kept);
+  t.memo <- Plan.Head_memo.create ()
 
 let retract_atoms t atoms =
-  let present = List.filter (fun a -> Instance.mem a t.base) atoms in
+  let present = List.sort_uniq Atom.compare (List.filter (fun a -> Instance.mem a t.base) atoms) in
   match present with
   | [] -> 0
   | _ ->
-      List.iter (fun a -> t.base <- Instance.remove a t.base) present;
-      rebuild t;
+      Obs.span "session.retract" (fun () ->
+          List.iter (fun a -> t.base <- Instance.remove a t.base) present;
+          replay t (over_delete t present));
+      t.saturated <- false;
+      t.warm <- false;
+      t.retractions <- t.retractions + 1;
       List.length present
 
 let default_max_steps = Restricted.default_max_steps
@@ -183,9 +269,18 @@ let chase ?(epool = Exec.inline) ?(max_steps = default_max_steps) ?deadline ?max
           (steps, None)
       | Some trigger ->
           let produced = Trigger.result trigger in
-          List.iter
-            (fun atom -> if t.store.Store.add atom then discover_delta t atom)
-            produced;
+          let owned =
+            List.filter
+              (fun atom ->
+                t.store.Store.add atom
+                && begin
+                     discover_delta t atom;
+                     true
+                   end)
+              produced
+          in
+          let owned = if List.compare_lengths owned produced = 0 then produced else owned in
+          log_step t { trigger; produced; owned };
           Obs.incr "session.steps";
           go (steps + 1)
   in

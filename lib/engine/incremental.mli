@@ -23,9 +23,35 @@
     which replays randomized assert/chase interleavings against
     [Restricted.run].
 
-    {b Retraction} is not monotone; {!retract_atoms} rebuilds the state
-    from the surviving base facts and the next {!chase} is a full
-    re-chase ({!warm} drops to [false]). *)
+    {b Retraction} is delete-and-rederive over a log of the applied
+    triggers (the saturation view of Datalog maintenance), and its
+    target is hom-equivalence, not bit-identity: the restricted result
+    depends on the derivation.  {!retract_atoms} makes one forward pass
+    over the log; a step survives when every body atom is in the new
+    base or was derived by an earlier surviving step.  The survivors are
+    still a restricted derivation from the new base: restricted
+    activity is anti-monotone — a trigger active when applied is active
+    on every subset of that instance — and each survivor's prefix
+    instance is a subset of the one it fired on.  Every atom only dead
+    steps derived is deleted, and the state resumes from three facts:
+    - a trigger still pending keeps its place when its body survived;
+    - a trigger popped earlier was applied or inactive, so some
+      extension of its frontier mapped the head into the old instance;
+      if that witness survived, it is still inactive;
+    - otherwise a deleted atom matched one of its head atoms with the
+      trigger's frontier values, so enumerating body homomorphisms with
+      the frontier bound from each deleted atom
+      ({!Plan.iter_witness_homs}) finds it again.
+    The head memo is reset (head satisfaction is not anti-monotone) and
+    the pool is fresh (its dedup set would drop triggers a later assert
+    rediscovers).  The next chase therefore saturates to a model in
+    which every atom is derivable from the surviving base: a universal
+    model, hom-equivalent to a from-scratch chase of it.  The fuzz
+    oracle's [incremental-equivalence] profile retracts every other
+    batch after saturation, base facts a step also derives, and facts
+    of a budget-stopped session, on both stores.  The log holds at most
+    one entry per atom of the instance: an active trigger always adds
+    one. *)
 
 open Chase_core
 
@@ -40,8 +66,8 @@ type outcome = {
   steps : int;  (** trigger applications performed by this call *)
   saturated : bool;  (** no active trigger remains *)
   incremental : bool;
-      (** this call resumed a state some earlier call had saturated —
-          i.e. it was a delta re-chase, not a cold or rebuilt run *)
+      (** this call resumed a state some earlier call had saturated,
+          with no retraction since that saturation *)
   limit : limit option;  (** the budget that stopped it, if unsaturated *)
 }
 
@@ -76,13 +102,15 @@ val pending : t -> int
 
 val saturated : t -> bool
 
-(** True once some chase call saturated this state and no rebuild
+(** True once some chase call saturated this state and no retraction
     happened since — the next chase will be incremental. *)
 val warm : t -> bool
 
 val steps_total : t -> int
 val chases : t -> int
-val rebuilds : t -> int
+
+(** Retractions that removed at least one fact. *)
+val retractions : t -> int
 
 (** [assert_atoms t atoms] adds facts, seeding delta triggers for each
     genuinely new atom; returns the number actually added.  Clears
@@ -90,9 +118,11 @@ val rebuilds : t -> int
 val assert_atoms : t -> Atom.t list -> int
 
 (** [retract_atoms t atoms] removes the given facts from the base (the
-    intersection; returns its size).  When nonempty, the state is
-    rebuilt from the surviving base and the next chase is a full
-    re-chase. *)
+    intersection; returns its size).  When nonempty, the atoms no
+    surviving step derives are deleted, the store is reloaded from the
+    rest, and the triggers a deleted atom may have satisfied are
+    re-seeded, so the next chase replays only that delta.  Counts
+    [session.retract.deleted] and [session.retract.reseeded]. *)
 val retract_atoms : t -> Atom.t list -> int
 
 val default_max_steps : int

@@ -25,7 +25,13 @@
    independent map over the candidate array, parallelized across
    domains when a [pool] is supplied; canonical null naming (Def 3.1)
    makes the round result independent of evaluation order, and the
-   applied list is reported in [Trigger.compare] order either way. *)
+   applied list is reported in [Trigger.compare] order either way.
+
+   Rounds can grow geometrically (a body joining two unrelated atoms
+   squares the instance each round), so discovery stops once a round
+   has found [max_round_triggers] new candidates, and the run ends
+   unsaturated before that round is applied — like running out of
+   rounds, but bounding memory rather than time. *)
 
 open Chase_core
 module Exec = Chase_exec.Pool
@@ -40,13 +46,17 @@ type result = {
 }
 
 let default_max_rounds = 1_000
+let default_max_round_triggers = 100_000
 
 module TrigTbl = Hashtbl.Make (Trigger)
+
+exception Round_bound
 
 (* Canonical null naming (Def 3.1) throughout: atom identities then
    persist across rounds and into {!Sequentialize}, and a trigger firing
    in two different rounds produces the same atom. *)
-let run ?(max_rounds = default_max_rounds) ?(pool = Exec.inline) tgds database =
+let run ?(max_rounds = default_max_rounds) ?(max_round_triggers = default_max_round_triggers)
+    ?(pool = Exec.inline) tgds database =
   let m = Minstance.of_instance database in
   let src = Plan.source_of_minstance m in
   let plans = List.map (fun tgd -> (tgd, Plan.of_tgd tgd)) tgds in
@@ -57,18 +67,22 @@ let run ?(max_rounds = default_max_rounds) ?(pool = Exec.inline) tgds database =
   in
   let seen = TrigTbl.create 256 in
   let discovered = ref [] in
+  let found = ref 0 in
   let discover tgd hom =
     let t = Trigger.make tgd hom in
     if not (TrigTbl.mem seen t) then begin
+      if !found >= max_round_triggers then raise Round_bound;
+      incr found;
       TrigTbl.add seen t ();
       discovered := t :: !discovered
     end
   in
-  List.iter (fun (tgd, p) -> Plan.iter_homs p src (fun hom -> discover tgd hom)) plans;
+  let unsaturated rounds =
+    { database; rounds = List.rev rounds; final = Minstance.snapshot m; saturated = false }
+  in
   let is_active t = not (Plan.head_satisfied (plan_of (Trigger.tgd t)) src (Trigger.hom t)) in
   let rec go candidates rounds i =
-    if i >= max_rounds then
-      { database; rounds = List.rev rounds; final = Minstance.snapshot m; saturated = false }
+    if i >= max_rounds then unsaturated rounds
     else begin
       let cands = Array.of_list (List.sort Trigger.compare candidates) in
       let verdicts = Exec.map_array pool is_active cands in
@@ -81,22 +95,30 @@ let run ?(max_rounds = default_max_rounds) ?(pool = Exec.inline) tgds database =
           (* Inactive candidates are dropped for good (monotonicity);
              applied ones satisfy their own heads from now on. *)
           discovered := [];
+          found := 0;
+          (* once the bound trips, the round's remaining atoms are still
+             added, so the recorded round is complete *)
+          let bounded = ref false in
           List.iter
             (fun trigger ->
               List.iter
                 (fun atom ->
-                  if Minstance.add m atom then
-                    List.iter
-                      (fun (tgd, p) ->
-                        Plan.iter_delta_homs p src atom (fun hom -> discover tgd hom))
-                      plans)
+                  if Minstance.add m atom && not !bounded then
+                    try
+                      List.iter
+                        (fun (tgd, p) ->
+                          Plan.iter_delta_homs p src atom (fun hom -> discover tgd hom))
+                        plans
+                    with Round_bound -> bounded := true)
                 (Trigger.result trigger))
             active;
-          let after = Minstance.snapshot m in
-          go !discovered ({ index = i; applied = active; after } :: rounds) (i + 1)
+          let rounds = { index = i; applied = active; after = Minstance.snapshot m } :: rounds in
+          if !bounded then unsaturated rounds else go !discovered rounds (i + 1)
     end
   in
-  go !discovered [] 0
+  match List.iter (fun (tgd, p) -> Plan.iter_homs p src (fun hom -> discover tgd hom)) plans with
+  | () -> go !discovered [] 0
+  | exception Round_bound -> unsaturated []
 
 let round_count r = List.length r.rounds
 

@@ -17,6 +17,9 @@ type result = {
 
 val default_max_rounds : int
 
+(** 100_000: the most new candidate triggers one round may discover. *)
+val default_max_round_triggers : int
+
 (** Runs with canonical null naming (Def 3.1), so atom identities persist
     across rounds and into {!Sequentialize}.
 
@@ -27,8 +30,18 @@ val default_max_rounds : int
     in canonical [Trigger.compare] order.  [pool] (default: inline)
     spreads the per-round activity tests across domains — the rounds
     are identical either way, since the tests are independent reads of
-    the frozen round-start instance. *)
+    the frozen round-start instance.
+
+    [max_round_triggers] bounds memory where [max_rounds] bounds time:
+    when the candidates discovered for the next round (or on the
+    database) exceed it, the run stops after the current round with
+    [saturated = false], as when the rounds run out. *)
 val run :
-  ?max_rounds:int -> ?pool:Chase_exec.Pool.t -> Tgd.t list -> Instance.t -> result
+  ?max_rounds:int ->
+  ?max_round_triggers:int ->
+  ?pool:Chase_exec.Pool.t ->
+  Tgd.t list ->
+  Instance.t ->
+  result
 val round_count : result -> int
 val applications : result -> int

@@ -32,6 +32,10 @@ type t = {
       (* per body atom index: the seed step (matched directly against a
          delta atom) and the compiled suffix for the remaining atoms *)
   head_steps : step array;  (* head atoms, frontier slots pre-bound *)
+  witness : (step * step array) array;
+      (* per head atom: the atom's pattern (matched against a former
+         witness atom) and the body order compiled with that atom's
+         frontier slots pre-bound *)
   frontier_vars : Term.t array;  (* sorted; aligned with frontier_slots *)
   frontier_slots : int array;
 }
@@ -159,6 +163,14 @@ let compile tgd =
     done;
     Array.of_list (List.rev !order)
   in
+  let frontier_set = Array.to_list frontier_slots in
+  let witness =
+    Array.init (Array.length head) (fun i ->
+        let no_bound = Array.make (max 1 !nslots) false in
+        let pattern = make_step head.(i) head_pats.(i) no_bound in
+        let pre = List.filter (fun s -> List.mem s frontier_set) (slots_of_pats head_pats.(i)) in
+        (pattern, Array.of_list (List.map fst (greedy_order all_indices (Array.of_list pre)))))
+  in
   let body_slots =
     let seen = Hashtbl.create 16 in
     Array.iter
@@ -178,6 +190,7 @@ let compile tgd =
     body_order;
     delta;
     head_steps;
+    witness;
     frontier_vars;
     frontier_slots;
   }
@@ -547,6 +560,44 @@ let iter_delta_homs p src atom f =
               end
             end)
           p.delta
+
+(* The head-seeded twin of [iter_delta_homs]: [atom] is matched as a
+   term tuple against each head atom's pattern (a former witness may
+   carry terms the store no longer holds), and the body runs with only
+   the frontier slots of that head atom bound. *)
+let iter_witness_homs p src atom f =
+  let pred = Atom.pred atom in
+  Array.iter
+    (fun (pattern, order) ->
+      if String.equal pattern.pred pred then begin
+        let env, trail = scratch p in
+        if try_match pattern env trail 0 atom >= 0 then begin
+          Obs.incr "plan.witness.seed";
+          match src with
+          | Generic g -> run_steps g order env trail 0 (fun () -> f (sub_of_env p env))
+          | Columnar ci -> (
+              let cenv, ctrail = cscratch p in
+              (* a frontier term the store never interned occurs in no
+                 row, so no body homomorphism can bind it *)
+              let known =
+                Array.for_all
+                  (fun slot ->
+                    match env.(slot) with
+                    | None -> true
+                    | Some v ->
+                        let id = Cinstance.find_id ci v in
+                        cenv.(slot) <- id;
+                        id >= 0)
+                  p.frontier_slots
+              in
+              if known then
+                match resolve_steps ci order with
+                | None -> ()
+                | Some csteps ->
+                    run_steps_c csteps cenv ctrail 0 (fun () -> f (sub_of_env_c p ci cenv)))
+        end
+      end)
+    p.witness
 
 exception Sat
 

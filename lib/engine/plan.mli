@@ -69,6 +69,16 @@ val iter_homs : t -> source -> (Substitution.t -> unit) -> unit
     incremental search. *)
 val iter_delta_homs : t -> source -> Atom.t -> (Substitution.t -> unit) -> unit
 
+(** [iter_witness_homs p src atom f]: every body homomorphism whose
+    frontier image agrees with [atom] on some head atom that [atom]
+    matches — the triggers whose head [atom] may have witnessed.  Each
+    matching head atom binds its frontier variables from [atom] and the
+    body runs with those pre-bound; [atom] itself need not be in the
+    source.  Used to re-seed triggers after their witness is deleted
+    ([Incremental.retract_atoms]).  May present a homomorphism once per
+    matching head atom. *)
+val iter_witness_homs : t -> source -> Atom.t -> (Substitution.t -> unit) -> unit
+
 (** [head_satisfied p src hom]: does some extension of [hom]'s frontier
     restriction map the head into the source?  ([hom] is a full body
     homomorphism; only its frontier bindings are read.) *)

@@ -62,6 +62,11 @@ module Pool = struct
 
   let size pool = pool.len - pool.front
 
+  let iter pool f =
+    for i = pool.front to pool.len - 1 do
+      f pool.arr.(i)
+    done
+
   let push pool t =
     if TrigTbl.mem pool.seen t then Obs.incr "restricted.pool.dup"
     else begin

@@ -47,6 +47,9 @@ module Pool : sig
   val push_batch : t -> Trigger.t list -> unit
 
   val pop : t -> Trigger.t option
+
+  (** The pending candidates, in storage order (not pop order). *)
+  val iter : t -> (Trigger.t -> unit) -> unit
 end
 
 (** [make_next_active ~epool ~plan_of ~src ~memo pool] returns a

@@ -74,6 +74,7 @@ type error_code =
   | Busy  (* admission control refused the request *)
   | Budget_exhausted  (* a hard session budget refused the request *)
   | Not_saturated  (* query on a session whose chase is incomplete *)
+  | Line_too_long  (* a request line over the server's byte cap *)
   | Internal
 
 let error_code_name = function
@@ -84,6 +85,7 @@ let error_code_name = function
   | Busy -> "busy"
   | Budget_exhausted -> "budget-exhausted"
   | Not_saturated -> "not-saturated"
+  | Line_too_long -> "line-too-long"
   | Internal -> "internal"
 
 (* --- decoding ------------------------------------------------------- *)

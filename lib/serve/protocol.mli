@@ -58,6 +58,7 @@ type error_code =
   | Busy
   | Budget_exhausted
   | Not_saturated
+  | Line_too_long
   | Internal
 
 (** Stable wire name ("invalid-json", "busy", …). *)

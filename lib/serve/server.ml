@@ -17,10 +17,16 @@ type config = {
   max_sessions : int;
   defaults : Session.budgets;
   backend : Chase_engine.Store.backend;
+  max_line_bytes : int;
 }
 
 let default_config =
-  { max_sessions = 64; defaults = Session.default_budgets; backend = `Compiled }
+  {
+    max_sessions = 64;
+    defaults = Session.default_budgets;
+    backend = `Compiled;
+    max_line_bytes = 16 * 1024 * 1024;
+  }
 
 type t = {
   config : config;
@@ -166,7 +172,7 @@ let handle_retract t ~session ~facts =
   [
     ("removed", Json.Int removed);
     ("facts", Json.Int (Chase_engine.Incremental.cardinal inc));
-    ("rechase", Json.Str (if removed > 0 then "full" else "none"));
+    ("rechase", Json.Str (if removed > 0 then "delta" else "none"));
   ]
 
 let handle_chase t ~session ~max_steps =
@@ -292,7 +298,7 @@ let handle_stats t ~session =
     ("warm", Json.Bool (Chase_engine.Incremental.warm inc));
     ("steps_total", Json.Int (Chase_engine.Incremental.steps_total inc));
     ("chases", Json.Int (Chase_engine.Incremental.chases inc));
-    ("rebuilds", Json.Int (Chase_engine.Incremental.rebuilds inc));
+    ("rebuilds", Json.Int (Chase_engine.Incremental.retractions inc));
     ("last_chase", last);
     ( "budgets",
       Json.Obj
@@ -353,16 +359,42 @@ let dispatch_line t line = Json.to_string (dispatch t line)
 
 (* --- transports ----------------------------------------------------- *)
 
+type line = Line of string | Too_long of int | Eof
+
+(* One request line of at most [max] bytes (newline excluded).  A longer
+   line is read on to its newline without being kept, so the next read
+   starts at the next request. *)
+let read_line ~max ic buf =
+  Buffer.clear buf;
+  let rec go n =
+    match In_channel.input_char ic with
+    | None -> if n = 0 then Eof else if n > max then Too_long n else Line (Buffer.contents buf)
+    | Some '\n' -> if n > max then Too_long n else Line (Buffer.contents buf)
+    | Some c ->
+        if n < max then Buffer.add_char buf c;
+        go (n + 1)
+  in
+  go 0
+
 let serve_channels t ic oc =
+  let max = t.config.max_line_bytes in
+  let buf = Buffer.create 4096 in
+  let send reply =
+    Out_channel.output_string oc (Json.to_string reply);
+    Out_channel.output_char oc '\n';
+    Out_channel.flush oc
+  in
   let rec go () =
-    match In_channel.input_line ic with
-    | None -> ()
-    | Some line ->
-        if String.trim line <> "" then begin
-          Out_channel.output_string oc (dispatch_line t line);
-          Out_channel.output_char oc '\n';
-          Out_channel.flush oc
-        end;
+    match read_line ~max ic buf with
+    | Eof -> ()
+    | Line line ->
+        if String.trim line <> "" then send (dispatch t line);
+        go ()
+    | Too_long n ->
+        Obs.incr "serve.requests";
+        send
+          (error_reply P.Line_too_long
+             (Printf.sprintf "request line of %d bytes is over the %d-byte cap; skipped" n max));
         go ()
   in
   go ()

@@ -10,6 +10,9 @@ type config = {
   backend : Chase_engine.Store.backend;
       (** store backend for sessions whose [load-program] has no
           ["backend"] field — the CLI's [--backend] *)
+  max_line_bytes : int;
+      (** longest request line {!serve_channels} reads, newline
+          excluded; a longer one gets a [line-too-long] reply *)
 }
 
 val default_config : config
@@ -30,7 +33,9 @@ val dispatch : t -> string -> Json.t
 val dispatch_line : t -> string -> string
 
 (** Read request lines from [ic] until EOF, writing one reply line per
-    request to [oc] (blank lines are skipped, replies flushed). *)
+    request to [oc] (blank lines are skipped, replies flushed).  A line
+    over [max_line_bytes] is not kept: it gets one [line-too-long]
+    error reply and reading resumes after its newline. *)
 val serve_channels : t -> in_channel -> out_channel -> unit
 
 (** Serve stdin/stdout — the [chasectl serve] default transport. *)

@@ -142,4 +142,84 @@ let property_tests =
            (not (Derivation.terminated d)) || Tgd.satisfied_by_all (Derivation.final d) tgds));
   ]
 
-let suite = [ ("engine", unit_tests @ property_tests) ]
+(* Retraction in a resumable session (Incremental): delete what only
+   dead steps derived, keep what survives, re-seed what a deleted atom
+   witnessed — on both stores. *)
+let retract_tests =
+  let atom = Chase_parser.Parser.parse_atom_exn in
+  let scratch tgds db = Restricted.run_exn ~naming:`Canonical tgds db in
+  let matches_scratch s tgds =
+    let base = Incremental.base s in
+    let final = Incremental.instance s in
+    Alcotest.(check bool) "model of the base" true (Model_check.is_model ~database:base ~tgds final);
+    Alcotest.(check bool) "hom-equivalent to scratch" true
+      (Model_check.hom_equivalent final (scratch tgds base));
+    Alcotest.(check int) "scratch cardinality" (Instance.cardinal (scratch tgds base))
+      (Incremental.cardinal s)
+  in
+  let chase_steps s =
+    let o = Incremental.chase s in
+    Alcotest.(check bool) "saturated" true o.Incremental.saturated;
+    o.Incremental.steps
+  in
+  let refire backend () =
+    let tgds, db = program "p(X) -> exists Y. q(X,Y).\np(a). q(a,b)." in
+    let s = Incremental.create ~backend tgds db in
+    Alcotest.(check int) "q(a,b) witnesses the head" 0 (chase_steps s);
+    Alcotest.(check int) "removed" 1 (Incremental.retract_atoms s [ atom "q(a,b)" ]);
+    Alcotest.(check int) "only p(a) left" 1 (Incremental.cardinal s);
+    Alcotest.(check int) "its trigger is re-seeded" 1 (Incremental.pending s);
+    Alcotest.(check int) "and fires" 1 (chase_steps s);
+    matches_scratch s tgds
+  in
+  let derived_base backend () =
+    let tgds, db = program "p(X) -> exists Y. q(X), s(X,Y).\np(a). q(a)." in
+    let s = Incremental.create ~backend tgds db in
+    Alcotest.(check int) "one step" 1 (chase_steps s);
+    Alcotest.(check int) "removed" 1 (Incremental.retract_atoms s [ atom "q(a)" ]);
+    Alcotest.(check bool) "q(a) left the base" false (Instance.mem (atom "q(a)") (Incremental.base s));
+    Alcotest.(check bool) "the surviving step still derives q(a)" true
+      (Instance.mem (atom "q(a)") (Incremental.instance s));
+    Alcotest.(check int) "nothing deleted" 3 (Incremental.cardinal s);
+    Alcotest.(check int) "nothing to replay" 0 (chase_steps s);
+    matches_scratch s tgds;
+    (* the step now owns q(a): retracting its body takes q(a) along *)
+    Alcotest.(check int) "removed p(a)" 1 (Incremental.retract_atoms s [ atom "p(a)" ]);
+    Alcotest.(check int) "everything gone" 0 (Incremental.cardinal s)
+  in
+  let reassert backend () =
+    let tgds, db =
+      program
+        "e(X,Y) -> r(X,Y).\nr(X,Y), e(Y,Z) -> r(X,Z).\nr(X,Y) -> exists W. m(Y,W).\n\
+         e(a,b). e(b,c)."
+    in
+    let batch = [ atom "e(c,d)"; atom "e(d,f)" ] in
+    let s = Incremental.create ~backend tgds db in
+    ignore (chase_steps s);
+    let loaded = Incremental.instance s in
+    Alcotest.(check int) "asserted" 2 (Incremental.assert_atoms s batch);
+    ignore (chase_steps s);
+    Alcotest.(check int) "retracted" 2 (Incremental.retract_atoms s batch);
+    Alcotest.(check int) "back at the loaded chase" 0 (chase_steps s);
+    Alcotest.(check bool) "same instance as before the assert" true
+      (Instance.equal loaded (Incremental.instance s));
+    (* the triggers of the re-asserted batch were pushed before; a pool
+       that remembered them would drop them now *)
+    Alcotest.(check int) "re-asserted" 2 (Incremental.assert_atoms s batch);
+    Alcotest.(check bool) "replays steps" true (chase_steps s > 0);
+    matches_scratch s tgds
+  in
+  List.concat_map
+    (fun backend ->
+      let b = Backend.name (backend :> Backend.t) in
+      [
+        Alcotest.test_case ("retract re-fires a trigger whose witness left (" ^ b ^ ")") `Quick
+          (refire backend);
+        Alcotest.test_case ("retract keeps a base fact a surviving step derives (" ^ b ^ ")")
+          `Quick (derived_base backend);
+        Alcotest.test_case ("retract then re-assert equals one scratch chase (" ^ b ^ ")")
+          `Quick (reassert backend);
+      ])
+    [ `Compiled; `Columnar ]
+
+let suite = [ ("engine", unit_tests @ property_tests @ retract_tests) ]

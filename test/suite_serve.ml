@@ -16,9 +16,9 @@ let jobs = Pool.default_jobs ~default:3 ()
 
 (* --- helpers ---------------------------------------------------------- *)
 
-let server ?(max_sessions = 64) ?(defaults = Session.default_budgets) ?(backend = `Compiled) ()
-    =
-  Server.create { Server.max_sessions; defaults; backend }
+let server ?(max_sessions = 64) ?(defaults = Session.default_budgets) ?(backend = `Compiled)
+    ?(max_line_bytes = Server.default_config.Server.max_line_bytes) () =
+  Server.create { Server.max_sessions; defaults; backend; max_line_bytes }
 
 let ask srv line = Server.dispatch srv line
 
@@ -248,25 +248,75 @@ let test_warm_cheaper_than_cold () =
   Alcotest.(check int) "same final cardinality as scratch" (get_int sc [ "facts" ])
     (get_int warm [ "facts" ])
 
-let test_retract_full_rechase () =
+(* A retract deletes what only the retracted facts supported and
+   re-seeds just the triggers they witnessed: the next chase replays
+   that delta, and the session equals one loaded with the surviving
+   facts. *)
+let test_retract_delta () =
   let srv = server () in
   check_ok (load srv tc_program);
-  check_ok (op srv "chase");
+  Alcotest.(check int) "cold facts" 5 (get_int (op srv "chase") [ "facts" ]);
   let r = op ~extra:[ ("facts", Json.Str "e(a,b).") ] srv "retract" in
   check_ok r;
   Alcotest.(check int) "removed" 1 (get_int r [ "removed" ]);
-  Alcotest.(check string) "full re-chase announced" "full" (get_str r [ "rechase" ]);
+  Alcotest.(check string) "delta re-chase announced" "delta" (get_str r [ "rechase" ]);
+  Alcotest.(check int) "e(a,b), r(a,b), r(a,c) deleted" 2 (get_int r [ "facts" ]);
   let c = op srv "chase" in
-  Alcotest.(check bool) "fallback is not incremental" false (get_bool c [ "incremental" ]);
+  Alcotest.(check bool) "no saturation since the retract" false (get_bool c [ "incremental" ]);
   Alcotest.(check string) "terminates" "terminated" (get_str c [ "status" ]);
-  (* Retracting the derived-only consequences of nothing is a no-op. *)
+  Alcotest.(check int) "nothing to replay" 0 (get_int c [ "steps" ]);
+  let scratch = server () in
+  check_ok (load scratch "e(X,Y) -> r(X,Y). r(X,Y), e(Y,Z) -> r(X,Z). e(b,c).");
+  Alcotest.(check int) "same facts as a scratch session" (get_int (op scratch "chase") [ "facts" ])
+    (get_int c [ "facts" ]);
+  (* Re-asserting the fact is an ordinary warm delta. *)
+  check_ok (op ~extra:[ ("facts", Json.Str "e(a,b).") ] srv "assert");
+  let w = op srv "chase" in
+  Alcotest.(check bool) "warm again" true (get_bool w [ "incremental" ]);
+  Alcotest.(check int) "back to the cold result" 5 (get_int w [ "facts" ]);
+  (* Retracting a fact that is not in the base is a no-op. *)
   let r2 = op ~extra:[ ("facts", Json.Str "e(z,z).") ] srv "retract" in
   Alcotest.(check int) "absent fact" 0 (get_int r2 [ "removed" ]);
   Alcotest.(check string) "no re-chase" "none" (get_str r2 [ "rechase" ]);
   let s = op srv "stats" in
-  Alcotest.(check int) "one rebuild" 1 (get_int s [ "rebuilds" ])
+  Alcotest.(check int) "one applied retraction" 1 (get_int s [ "rebuilds" ]);
+  Alcotest.(check int) "three atoms deleted" 3
+    (get_int s [ "counters"; "session.retract.deleted" ])
 
 (* --- errors stay structured ------------------------------------------- *)
+
+(* Over the channel transport: a line over the cap gets exactly one
+   line-too-long reply, and the requests around it are served. *)
+let test_line_cap () =
+  let cap = 96 in
+  let srv = server ~max_line_bytes:cap () in
+  let input = Filename.temp_file "serve" ".in" and output = Filename.temp_file "serve" ".out" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove input; Sys.remove output)
+    (fun () ->
+      let stats id = Printf.sprintf {|{"id": %d, "op": "stats", "session": "s"}|} id in
+      let long = Printf.sprintf {|{"id": 2, "op": "assert", "facts": "%s"}|} (String.make 200 'x') in
+      let exactly = stats 3 ^ String.make (cap - String.length (stats 3)) ' ' in
+      Out_channel.with_open_bin input (fun oc ->
+          List.iter
+            (fun l -> Out_channel.output_string oc (l ^ "\n"))
+            [ {|{"id": 1, "op": "load-program", "session": "s", "program": "p(a)."}|}; long; exactly ];
+          (* the last line has no newline and is over the cap too *)
+          Out_channel.output_string oc (String.make (cap + 1) '{'));
+      In_channel.with_open_bin input (fun ic ->
+          Out_channel.with_open_bin output (fun oc -> Server.serve_channels srv ic oc));
+      let replies = List.map Json.parse (In_channel.with_open_bin output In_channel.input_lines) in
+      Alcotest.(check int) "one reply per line" 4 (List.length replies);
+      match replies with
+      | [ loaded; too_long; at_cap; last ] ->
+          check_ok loaded;
+          check_error "line-too-long" too_long;
+          Alcotest.(check bool) "no id: the line was never parsed" true
+            (Json.member "id" too_long = None);
+          check_ok at_cap;
+          Alcotest.(check int) "a line of exactly the cap is served" 3 (get_int at_cap [ "id" ]);
+          check_error "line-too-long" last
+      | _ -> assert false)
 
 let test_malformed_input () =
   let srv = server () in
@@ -391,7 +441,7 @@ let test_service_doc_complete () =
        [
          Protocol.Invalid_json; Protocol.Invalid_request; Protocol.Parse_error;
          Protocol.Unknown_session; Protocol.Busy; Protocol.Budget_exhausted;
-         Protocol.Not_saturated; Protocol.Internal;
+         Protocol.Not_saturated; Protocol.Line_too_long; Protocol.Internal;
        ])
 
 (* --- incremental ≡ scratch (property) --------------------------------- *)
@@ -449,8 +499,9 @@ let suite =
         Alcotest.test_case "step budget stops and resumes" `Quick test_step_budget_and_resume;
         Alcotest.test_case "fact budget refuses growth" `Quick test_fact_budget;
         Alcotest.test_case "warm re-chase beats cold" `Quick test_warm_cheaper_than_cold;
-        Alcotest.test_case "retract falls back to full re-chase" `Quick test_retract_full_rechase;
+        Alcotest.test_case "retract re-chases only the delta" `Quick test_retract_delta;
         Alcotest.test_case "malformed input never kills the server" `Quick test_malformed_input;
+        Alcotest.test_case "over-long request lines are skipped" `Quick test_line_cap;
         Alcotest.test_case "query needs saturation, filters nulls" `Quick test_query_contract;
         Alcotest.test_case "decide: fixed, starved budget, portfolio" `Quick test_decide_op;
         Alcotest.test_case "request ids echo into replies" `Quick test_id_echo;

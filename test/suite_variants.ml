@@ -48,6 +48,37 @@ let parallel_tests =
         let tgds, db = program "r(X,Y) -> exists Z. r(Y,Z).\nr(a,b)." in
         let p = Parallel.run ~max_rounds:20 tgds db in
         Alcotest.(check bool) "not saturated" false p.Parallel.saturated);
+    Alcotest.test_case "a round past the trigger bound ends the run unsaturated" `Quick
+      (fun () ->
+        (* the body joins two unrelated atoms, so every round squares
+           the number of candidates *)
+        let tgds, db =
+          program
+            "pair: r(X,Y), r(Z,W) -> exists V. t(X,Z,V).
+back: t(X,Z,V) -> exists U. r(V,U).
+\
+             r(a,b). r(c,d)."
+        in
+        let p = Parallel.run ~max_round_triggers:50 tgds db in
+        Alcotest.(check bool) "not saturated" false p.Parallel.saturated;
+        Alcotest.(check bool) "stopped well before the round budget" true
+          (Parallel.round_count p < 10);
+        Alcotest.(check bool) "no round applies more than the bound" true
+          (List.for_all (fun r -> List.length r.Parallel.applied <= 50) p.Parallel.rounds);
+        let last = List.nth p.Parallel.rounds (Parallel.round_count p - 1) in
+        Alcotest.(check bool) "the last round is complete" true
+          (Instance.equal last.Parallel.after p.Parallel.final);
+        Alcotest.(check bool) "an unbounded first round agrees" true
+          (Instance.equal (List.hd (Parallel.run ~max_rounds:1 tgds db).Parallel.rounds).Parallel.after
+             (List.hd p.Parallel.rounds).Parallel.after));
+    Alcotest.test_case "a database past the trigger bound runs no round" `Quick (fun () ->
+        let tgds, db = program "r(X,Y), r(Z,W) -> s(X,Z).\nr(a,b). r(c,d). r(e,f)." in
+        let p = Parallel.run ~max_round_triggers:8 tgds db in
+        Alcotest.(check bool) "not saturated" false p.Parallel.saturated;
+        Alcotest.(check int) "no rounds" 0 (Parallel.round_count p);
+        Alcotest.(check bool) "final is the database" true (Instance.equal db p.Parallel.final);
+        Alcotest.(check bool) "9 candidates fit a bound of 9" true
+          (Parallel.run ~max_round_triggers:9 tgds db).Parallel.saturated);
   ]
 
 let core_tests =
