@@ -559,9 +559,8 @@ let fuzz_cmd =
 (* --- serve ----------------------------------------------------------- *)
 
 let serve_cmd =
-  let run socket tcp max_sessions max_line_bytes max_steps max_facts max_wall_ms backend stats
-      trace_json jobs =
-    if max_line_bytes < 1 then or_die (Error "serve: --max-line-bytes must be at least 1");
+  let run socket tcp max_sessions max_steps max_facts max_wall_ms backend stats trace_json jobs
+      =
     let defaults =
       {
         Chase_serve.Session.max_steps;
@@ -572,8 +571,7 @@ let serve_cmd =
     with_obs ~stats ~trace_json @@ fun () ->
     with_jobs jobs @@ fun epool ->
     let server =
-      Chase_serve.Server.create ~epool
-        { Chase_serve.Server.max_sessions; defaults; backend; max_line_bytes }
+      Chase_serve.Server.create ~epool { Chase_serve.Server.max_sessions; defaults; backend }
     in
     match (socket, tcp) with
     | Some _, Some _ -> or_die (Error "serve: pass at most one of --socket and --tcp")
@@ -605,15 +603,6 @@ let serve_cmd =
       & opt int Chase_serve.Server.default_config.Chase_serve.Server.max_sessions
       & info [ "max-sessions" ] ~docv:"N"
           ~doc:"Admission control: refuse new sessions (error code $(b,busy)) beyond $(docv).")
-  in
-  let max_line_bytes_arg =
-    Arg.(
-      value
-      & opt int Chase_serve.Server.default_config.Chase_serve.Server.max_line_bytes
-      & info [ "max-line-bytes" ] ~docv:"N"
-          ~doc:
-            "Longest request line read, in bytes; a longer one gets one error reply (code \
-             $(b,line-too-long)) and is skipped to its newline.")
   in
   let d = Chase_serve.Session.default_budgets in
   let max_steps_arg =
@@ -650,8 +639,7 @@ let serve_cmd =
          "Long-lived chase service: named sessions with incremental re-chase over a \
           JSON-lines protocol (docs/SERVICE.md).")
     Term.(
-      const run $ socket_arg $ tcp_arg $ max_sessions_arg $ max_line_bytes_arg $ max_steps_arg
-      $ max_facts_arg
+      const run $ socket_arg $ tcp_arg $ max_sessions_arg $ max_steps_arg $ max_facts_arg
       $ max_wall_ms_arg $ serve_backend_arg $ stats_arg $ trace_json_arg $ jobs_arg)
 
 (* --- scenarios ------------------------------------------------------- *)

@@ -29,7 +29,7 @@
 
    Rounds can grow geometrically (a body joining two unrelated atoms
    squares the instance each round), so discovery stops once a round
-   has found [max_round_triggers] new candidates, and the run ends
+   has found [max_round_triggers] (100,000) new candidates, and the run ends
    unsaturated before that round is applied — like running out of
    rounds, but bounding memory rather than time. *)
 
@@ -46,7 +46,7 @@ type result = {
 }
 
 let default_max_rounds = 1_000
-let default_max_round_triggers = 100_000
+let max_round_triggers = 100_000
 
 module TrigTbl = Hashtbl.Make (Trigger)
 
@@ -55,8 +55,7 @@ exception Round_bound
 (* Canonical null naming (Def 3.1) throughout: atom identities then
    persist across rounds and into {!Sequentialize}, and a trigger firing
    in two different rounds produces the same atom. *)
-let run ?(max_rounds = default_max_rounds) ?(max_round_triggers = default_max_round_triggers)
-    ?(pool = Exec.inline) tgds database =
+let run ?(max_rounds = default_max_rounds) ?(pool = Exec.inline) tgds database =
   let m = Minstance.of_instance database in
   let src = Plan.source_of_minstance m in
   let plans = List.map (fun tgd -> (tgd, Plan.of_tgd tgd)) tgds in

@@ -12,13 +12,10 @@ type result = {
   database : Instance.t;
   rounds : round list;
   final : Instance.t;
-  saturated : bool;  (** false when the round budget ran out *)
+  saturated : bool;  (** false when the rounds ran out or a round grew too large *)
 }
 
 val default_max_rounds : int
-
-(** 100_000: the most new candidate triggers one round may discover. *)
-val default_max_round_triggers : int
 
 (** Runs with canonical null naming (Def 3.1), so atom identities persist
     across rounds and into {!Sequentialize}.
@@ -32,16 +29,11 @@ val default_max_round_triggers : int
     are identical either way, since the tests are independent reads of
     the frozen round-start instance.
 
-    [max_round_triggers] bounds memory where [max_rounds] bounds time:
-    when the candidates discovered for the next round (or on the
-    database) exceed it, the run stops after the current round with
-    [saturated = false], as when the rounds run out. *)
+    [saturated = false] means the rounds ran out or a round grew too
+    large: memory is bounded as well as time, so once the candidates
+    discovered for the next round (or on the database) exceed 100,000,
+    the run stops after the current round, unsaturated. *)
 val run :
-  ?max_rounds:int ->
-  ?max_round_triggers:int ->
-  ?pool:Chase_exec.Pool.t ->
-  Tgd.t list ->
-  Instance.t ->
-  result
+  ?max_rounds:int -> ?pool:Chase_exec.Pool.t -> Tgd.t list -> Instance.t -> result
 val round_count : result -> int
 val applications : result -> int

@@ -32,10 +32,12 @@ type t = {
       (* per body atom index: the seed step (matched directly against a
          delta atom) and the compiled suffix for the remaining atoms *)
   head_steps : step array;  (* head atoms, frontier slots pre-bound *)
-  witness : (step * step array) array;
+  witness : unit -> (step * step array) array;
       (* per head atom: the atom's pattern (matched against a former
          witness atom) and the body order compiled with that atom's
-         frontier slots pre-bound *)
+         frontier slots pre-bound.  Compiled on first use, since only
+         a retraction needs it; two domains racing on it compile it
+         twice, harmlessly. *)
   frontier_vars : Term.t array;  (* sorted; aligned with frontier_slots *)
   frontier_slots : int array;
 }
@@ -165,11 +167,22 @@ let compile tgd =
   in
   let frontier_set = Array.to_list frontier_slots in
   let witness =
-    Array.init (Array.length head) (fun i ->
-        let no_bound = Array.make (max 1 !nslots) false in
-        let pattern = make_step head.(i) head_pats.(i) no_bound in
-        let pre = List.filter (fun s -> List.mem s frontier_set) (slots_of_pats head_pats.(i)) in
-        (pattern, Array.of_list (List.map fst (greedy_order all_indices (Array.of_list pre)))))
+    let compiled = Atomic.make None in
+    fun () ->
+      match Atomic.get compiled with
+      | Some w -> w
+      | None ->
+          let w =
+            Array.init (Array.length head) (fun i ->
+                let no_bound = Array.make (max 1 !nslots) false in
+                let pattern = make_step head.(i) head_pats.(i) no_bound in
+                let pre =
+                  List.filter (fun s -> List.mem s frontier_set) (slots_of_pats head_pats.(i))
+                in
+                (pattern, Array.of_list (List.map fst (greedy_order all_indices (Array.of_list pre)))))
+          in
+          Atomic.set compiled (Some w);
+          w
   in
   let body_slots =
     let seen = Hashtbl.create 16 in
@@ -597,7 +610,7 @@ let iter_witness_homs p src atom f =
                     run_steps_c csteps cenv ctrail 0 (fun () -> f (sub_of_env_c p ci cenv)))
         end
       end)
-    p.witness
+    (p.witness ())
 
 exception Sat
 

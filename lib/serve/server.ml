@@ -17,16 +17,12 @@ type config = {
   max_sessions : int;
   defaults : Session.budgets;
   backend : Chase_engine.Store.backend;
-  max_line_bytes : int;
 }
 
 let default_config =
-  {
-    max_sessions = 64;
-    defaults = Session.default_budgets;
-    backend = `Compiled;
-    max_line_bytes = 16 * 1024 * 1024;
-  }
+  { max_sessions = 64; defaults = Session.default_budgets; backend = `Compiled }
+
+let max_line_bytes = 16 * 1024 * 1024
 
 type t = {
   config : config;
@@ -361,31 +357,60 @@ let dispatch_line t line = Json.to_string (dispatch t line)
 
 type line = Line of string | Too_long of int | Eof
 
-(* One request line of at most [max] bytes (newline excluded).  A longer
-   line is read on to its newline without being kept, so the next read
-   starts at the next request. *)
-let read_line ~max ic buf =
-  Buffer.clear buf;
+(* Request lines are cut from chunks of the channel, [chunk.[pos..len)]
+   being read and not yet consumed. *)
+type reader = {
+  ic : in_channel;
+  chunk : Bytes.t;
+  mutable pos : int;
+  mutable len : int;
+  line : Buffer.t;
+}
+
+let reader ic = { ic; chunk = Bytes.create 65536; pos = 0; len = 0; line = Buffer.create 4096 }
+
+(* One request line of at most [max_line_bytes] bytes (newline
+   excluded).  A longer line is read on to its newline without being
+   kept, so the next read starts at the next request. *)
+let read_line r =
+  Buffer.clear r.line;
+  let finish n = if n > max_line_bytes then Too_long n else Line (Buffer.contents r.line) in
   let rec go n =
-    match In_channel.input_char ic with
-    | None -> if n = 0 then Eof else if n > max then Too_long n else Line (Buffer.contents buf)
-    | Some '\n' -> if n > max then Too_long n else Line (Buffer.contents buf)
-    | Some c ->
-        if n < max then Buffer.add_char buf c;
-        go (n + 1)
+    if r.pos >= r.len then begin
+      r.pos <- 0;
+      r.len <- In_channel.input r.ic r.chunk 0 (Bytes.length r.chunk)
+    end;
+    if r.len = 0 then if n = 0 then Eof else finish n
+    else begin
+      let chunk = r.chunk and len = r.len in
+      let i = ref r.pos in
+      while !i < len && Bytes.unsafe_get chunk !i <> '\n' do
+        incr i
+      done;
+      let room = max_line_bytes - Buffer.length r.line in
+      if room > 0 then Buffer.add_subbytes r.line chunk r.pos (min room (!i - r.pos));
+      let n = n + (!i - r.pos) in
+      if !i < len then begin
+        r.pos <- !i + 1;
+        finish n
+      end
+      else begin
+        r.pos <- len;
+        go n
+      end
+    end
   in
   go 0
 
 let serve_channels t ic oc =
-  let max = t.config.max_line_bytes in
-  let buf = Buffer.create 4096 in
+  let r = reader ic in
   let send reply =
     Out_channel.output_string oc (Json.to_string reply);
     Out_channel.output_char oc '\n';
     Out_channel.flush oc
   in
   let rec go () =
-    match read_line ~max ic buf with
+    match read_line r with
     | Eof -> ()
     | Line line ->
         if String.trim line <> "" then send (dispatch t line);
@@ -394,7 +419,8 @@ let serve_channels t ic oc =
         Obs.incr "serve.requests";
         send
           (error_reply P.Line_too_long
-             (Printf.sprintf "request line of %d bytes is over the %d-byte cap; skipped" n max));
+             (Printf.sprintf "request line of %d bytes is over the %d-byte cap; skipped" n
+                max_line_bytes));
         go ()
   in
   go ()

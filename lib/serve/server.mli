@@ -10,12 +10,13 @@ type config = {
   backend : Chase_engine.Store.backend;
       (** store backend for sessions whose [load-program] has no
           ["backend"] field — the CLI's [--backend] *)
-  max_line_bytes : int;
-      (** longest request line {!serve_channels} reads, newline
-          excluded; a longer one gets a [line-too-long] reply *)
 }
 
 val default_config : config
+
+(** 16 MiB: the longest request line {!serve_channels} reads, newline
+    excluded; a longer one gets a [line-too-long] reply. *)
+val max_line_bytes : int
 
 type t
 

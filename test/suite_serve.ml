@@ -16,9 +16,8 @@ let jobs = Pool.default_jobs ~default:3 ()
 
 (* --- helpers ---------------------------------------------------------- *)
 
-let server ?(max_sessions = 64) ?(defaults = Session.default_budgets) ?(backend = `Compiled)
-    ?(max_line_bytes = Server.default_config.Server.max_line_bytes) () =
-  Server.create { Server.max_sessions; defaults; backend; max_line_bytes }
+let server ?(max_sessions = 64) ?(defaults = Session.default_budgets) ?(backend = `Compiled) () =
+  Server.create { Server.max_sessions; defaults; backend }
 
 let ask srv line = Server.dispatch srv line
 
@@ -285,23 +284,30 @@ let test_retract_delta () =
 
 (* --- errors stay structured ------------------------------------------- *)
 
-(* Over the channel transport: a line over the cap gets exactly one
-   line-too-long reply, and the requests around it are served. *)
+(* Over the channel transport: a line one byte over the cap gets
+   exactly one line-too-long reply, and the requests around it are
+   served. *)
 let test_line_cap () =
-  let cap = 96 in
-  let srv = server ~max_line_bytes:cap () in
+  let cap = Server.max_line_bytes in
+  let srv = server () in
   let input = Filename.temp_file "serve" ".in" and output = Filename.temp_file "serve" ".out" in
   Fun.protect
     ~finally:(fun () -> Sys.remove input; Sys.remove output)
     (fun () ->
-      let stats id = Printf.sprintf {|{"id": %d, "op": "stats", "session": "s"}|} id in
-      let long = Printf.sprintf {|{"id": 2, "op": "assert", "facts": "%s"}|} (String.make 200 'x') in
-      let exactly = stats 3 ^ String.make (cap - String.length (stats 3)) ' ' in
+      let padded line n = line ^ String.make (n - String.length line) ' ' in
+      let long =
+        let head = {|{"id": 2, "op": "assert", "facts": "|} and tail = {|"}|} in
+        head ^ String.make (cap + 1 - String.length head - String.length tail) 'x' ^ tail
+      in
       Out_channel.with_open_bin input (fun oc ->
           List.iter
             (fun l -> Out_channel.output_string oc (l ^ "\n"))
-            [ {|{"id": 1, "op": "load-program", "session": "s", "program": "p(a)."}|}; long; exactly ];
-          (* the last line has no newline and is over the cap too *)
+            [
+              {|{"id": 1, "op": "load-program", "session": "s", "program": "p(a)."}|};
+              long;
+              padded {|{"id": 3, "op": "stats", "session": "s"}|} cap;
+            ];
+          (* the last line has no newline and is one byte over the cap too *)
           Out_channel.output_string oc (String.make (cap + 1) '{'));
       In_channel.with_open_bin input (fun ic ->
           Out_channel.with_open_bin output (fun oc -> Server.serve_channels srv ic oc));

@@ -50,8 +50,9 @@ let parallel_tests =
         Alcotest.(check bool) "not saturated" false p.Parallel.saturated);
     Alcotest.test_case "a round past the trigger bound ends the run unsaturated" `Quick
       (fun () ->
-        (* the body joins two unrelated atoms, so every round squares
-           the number of candidates *)
+        (* the body joins two unrelated atoms, so every other round
+           squares the number of candidates: 4, 32, 1408, then about
+           2M, past the 100,000 bound *)
         let tgds, db =
           program
             "pair: r(X,Y), r(Z,W) -> exists V. t(X,Z,V).
@@ -59,12 +60,12 @@ back: t(X,Z,V) -> exists U. r(V,U).
 \
              r(a,b). r(c,d)."
         in
-        let p = Parallel.run ~max_round_triggers:50 tgds db in
+        let p = Parallel.run tgds db in
         Alcotest.(check bool) "not saturated" false p.Parallel.saturated;
         Alcotest.(check bool) "stopped well before the round budget" true
           (Parallel.round_count p < 10);
         Alcotest.(check bool) "no round applies more than the bound" true
-          (List.for_all (fun r -> List.length r.Parallel.applied <= 50) p.Parallel.rounds);
+          (List.for_all (fun r -> List.length r.Parallel.applied <= 100_000) p.Parallel.rounds);
         let last = List.nth p.Parallel.rounds (Parallel.round_count p - 1) in
         Alcotest.(check bool) "the last round is complete" true
           (Instance.equal last.Parallel.after p.Parallel.final);
@@ -72,13 +73,19 @@ back: t(X,Z,V) -> exists U. r(V,U).
           (Instance.equal (List.hd (Parallel.run ~max_rounds:1 tgds db).Parallel.rounds).Parallel.after
              (List.hd p.Parallel.rounds).Parallel.after));
     Alcotest.test_case "a database past the trigger bound runs no round" `Quick (fun () ->
-        let tgds, db = program "r(X,Y), r(Z,W) -> s(X,Z).\nr(a,b). r(c,d). r(e,f)." in
-        let p = Parallel.run ~max_round_triggers:8 tgds db in
+        (* n facts give n * n database candidates: 317 * 317 = 100,489
+           is over the bound, 316 * 316 = 99,856 fits *)
+        let r_facts n =
+          String.concat " " (List.init n (fun i -> Printf.sprintf "r(a%d,b%d)." i i))
+        in
+        let tgds, db = program ("r(X,Y), r(Z,W) -> s(X,Z).\n" ^ r_facts 317) in
+        let p = Parallel.run tgds db in
         Alcotest.(check bool) "not saturated" false p.Parallel.saturated;
         Alcotest.(check int) "no rounds" 0 (Parallel.round_count p);
         Alcotest.(check bool) "final is the database" true (Instance.equal db p.Parallel.final);
-        Alcotest.(check bool) "9 candidates fit a bound of 9" true
-          (Parallel.run ~max_round_triggers:9 tgds db).Parallel.saturated);
+        let tgds, db = program ("r(X,Y), r(Z,W) -> s(X,Z).\n" ^ r_facts 316) in
+        Alcotest.(check bool) "99,856 candidates fit the bound" true
+          (Parallel.run tgds db).Parallel.saturated);
   ]
 
 let core_tests =
