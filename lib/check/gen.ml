@@ -72,6 +72,23 @@ let inject_constants rng tgds =
       | _ -> tgd)
     tgds
 
+(* Each TGD with a nonempty frontier also records its frontier image
+   under a predicate of its own (no body mentions it).  A trigger whose
+   original head atoms are already present, because the database or
+   another rule put them there, is then still active until the rule has
+   fired for that frontier image, so a step can add an atom that was
+   already there when it fired. *)
+let multi_head_variant tgds =
+  List.mapi
+    (fun i tgd ->
+      match Term.Set.elements (Tgd.frontier tgd) with
+      | [] -> tgd
+      | frontier ->
+          Tgd.make ~name:(Tgd.name tgd) ~body:(Tgd.body tgd)
+            ~head:(Tgd.head tgd @ [ Atom.make (Printf.sprintf "mh%d" i) frontier ])
+            ())
+    tgds
+
 let generate ~profile ~seed =
   let rng = Random.State.make [| seed; 0xca5e |] in
   let cfg : Chase_workload.Tgd_gen.config =

@@ -14,3 +14,12 @@ type case = {
 }
 
 val generate : profile:Profile.t -> seed:int -> case
+
+(** A multi-head variant of a TGD set: every TGD with a nonempty
+    frontier gets a second head atom recording its frontier image under
+    a fresh predicate [mh<i>].  Such a step may fire although its
+    original head atoms are already present, so it re-derives atoms —
+    the case incremental retraction hands their ownership over for.
+    The deciders and the oblivious-chase checks need single-head sets;
+    only the incremental-equivalence section runs this variant. *)
+val multi_head_variant : Tgd.t list -> Tgd.t list

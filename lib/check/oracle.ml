@@ -230,14 +230,22 @@ let check_ochase ~budgets tgds db =
      derived when they were asserted (kept by the step that derives
      them), then those facts again;
    - every other batch (the odd ones);
-   and, on a second session loaded with the whole database and stopped
-   by a step budget halfway, the even-indexed facts.  After every chase
-   the session must be a model of its current base, hom-equivalent to
-   the from-scratch chase of that base.  A scenario whose chase, or
-   whose from-scratch counterpart, runs out of budget is skipped (not
-   failed).  Batches split the canonical atom order by index modulo k,
-   so every interleaving is reproducible from the case alone. *)
-let check_incremental ~pool ~budgets ~backends tgds db =
+   - the rest, which must leave nothing (an atom whose derivations a
+     retraction moved to a surviving step must go with that step);
+   on a second session, the same asserts and chases with no snapshot
+   taken in between, then the odd batches retracted, so the retraction
+   finds every atom still unfolded in the store; and, on a third
+   session loaded with the whole database and stopped by a step budget
+   halfway, the even-indexed facts.  After every chase the session must
+   be a model of its current base, hom-equivalent to the from-scratch
+   chase of that base (the unfolded session is compared only at the
+   end).  A scenario whose chase, or whose from-scratch counterpart,
+   runs out of budget is skipped (not failed).  Batches split the
+   canonical atom order by index modulo k, so every interleaving is
+   reproducible from the case alone.  The scenarios run on the drawn
+   set and on its multi-head variant ([Gen.multi_head_variant]), whose
+   steps can re-derive atoms that were present when they fired. *)
+let incremental_scenarios ~pool ~budgets ~backends ~set tgds db =
   guarded "incremental" @@ fun () ->
   let max_steps = budgets.restricted_steps in
   let scratches = ref [] in
@@ -277,7 +285,7 @@ let check_incremental ~pool ~budgets ~backends tgds db =
       let split k = List.init k (fun i -> List.filteri (fun j _ -> j mod k = i) atoms) in
       let interleaved (k, backend) =
         let bname = Restricted.backend_name (backend :> Restricted.backend) in
-        let what step = Printf.sprintf "interleaving k=%d/%s, %s" k bname step in
+        let what step = Printf.sprintf "%sinterleaving k=%d/%s, %s" set k bname step in
         let batches = split k in
         let s = Incremental.create ~strategy:Restricted.Fifo ~backend tgds Instance.empty in
         let derived = ref [] in
@@ -297,6 +305,7 @@ let check_incremental ~pool ~budgets ~backends tgds db =
             agree ~what:(what what') s (settle s)
           in
           let odd = List.concat (List.filteri (fun i _ -> i mod 2 = 1) batches) in
+          let even = List.concat (List.filteri (fun i _ -> i mod 2 = 0) batches) in
           let first = agree ~what:(what "asserted") s true in
           let derived_steps =
             if !derived = [] then []
@@ -307,6 +316,29 @@ let check_incremental ~pool ~budgets ~backends tgds db =
           in
           first @ derived_steps
           @ step "retracted the odd batches" (fun s -> ignore (Incremental.retract_atoms s odd))
+          @ step "retracted the rest" (fun s -> ignore (Incremental.retract_atoms s even))
+      in
+      let unfolded (k, backend) =
+        let bname = Restricted.backend_name (backend :> Restricted.backend) in
+        let batches = split k in
+        let s = Incremental.create ~strategy:Restricted.Fifo ~backend tgds Instance.empty in
+        if
+          List.for_all
+            (fun batch ->
+              ignore (Incremental.assert_atoms s batch);
+              settle s)
+            batches
+        then begin
+          ignore
+            (Incremental.retract_atoms s
+               (List.concat (List.filteri (fun i _ -> i mod 2 = 1) batches)));
+          agree
+            ~what:
+              (Printf.sprintf
+                 "%sunfolded interleaving k=%d/%s, retracted the odd batches" set k bname)
+            s (settle s)
+        end
+        else []
       in
       let stopped backend =
         let bname = Restricted.backend_name (backend :> Restricted.backend) in
@@ -316,12 +348,18 @@ let check_incremental ~pool ~budgets ~backends tgds db =
         else begin
           ignore (Incremental.retract_atoms s (List.filteri (fun j _ -> j mod 2 = 0) atoms));
           agree
-            ~what:(Printf.sprintf "budget-stopped/%s, retracted the even facts" bname)
+            ~what:(Printf.sprintf "%sbudget-stopped/%s, retracted the even facts" set bname)
             s (settle s)
         end
       in
       List.concat_map interleaved (List.concat_map (fun b -> [ (2, b); (3, b) ]) backends)
+      @ List.concat_map unfolded (List.map (fun b -> (3, b)) backends)
       @ List.concat_map stopped backends
+
+let check_incremental ~pool ~budgets ~backends tgds db =
+  incremental_scenarios ~pool ~budgets ~backends ~set:"" tgds db
+  @ incremental_scenarios ~pool ~budgets ~backends ~set:"multi-head set, "
+      (Gen.multi_head_variant tgds) db
 
 let check_decider ~pool ~budgets ?(portfolio = false) tgds db =
   match Chase_termination.Decider.decide ~pool tgds with

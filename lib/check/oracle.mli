@@ -33,8 +33,12 @@
       the from-scratch chase (both are universal models of the same
       database) — replayed over both store backends.  The same holds
       after each retraction that follows: of base facts a step had
-      already derived (and their re-assert), of every other batch, and
-      of half the facts of a session stopped by its step budget.
+      already derived (and their re-assert), of every other batch, of
+      the rest (which must leave nothing), of every other batch of a
+      session that took no snapshot since its first assert, and of half
+      the facts of a session stopped by its step budget.  Every
+      scenario runs on the drawn set and on its multi-head variant
+      ({!Gen.multi_head_variant}).
     - [decider-crash] — [Decider.decide] (and, in portfolio mode,
       [Decider.decide_portfolio]) must not raise.
     - [decider-wa] — weak acyclicity refutes a [Non_terminating] answer

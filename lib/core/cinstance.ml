@@ -526,6 +526,21 @@ let snapshot c =
       c.pending <- [];
       snap
 
+module AtomTbl = Hashtbl.Make (Atom)
+
+(* As [Minstance.snapshot_without]: atoms about to be deleted never
+   enter the persistent image. *)
+let snapshot_without c gone =
+  let kept = List.fold_left (fun i a -> Instance.remove a i) c.snap gone in
+  match c.pending with
+  | [] -> kept
+  | pending ->
+      let doomed = AtomTbl.create 64 in
+      List.iter (fun a -> AtomTbl.replace doomed a ()) gone;
+      let survivors = List.filter (fun a -> not (AtomTbl.mem doomed a)) pending in
+      if survivors <> [] then Obs.count "cinstance.snapshot.folds" (List.length survivors);
+      List.fold_left (fun i a -> Instance.add a i) kept survivors
+
 module Rel = struct
   type nonrec t = rel
 

@@ -71,6 +71,10 @@ val iter : (Atom.t -> unit) -> t -> unit
     since the previous snapshot), exactly as {!Minstance.snapshot}. *)
 val snapshot : t -> Instance.t
 
+(** The contents minus the atoms of [gone], built without folding those
+    in, exactly as {!Minstance.snapshot_without}. *)
+val snapshot_without : t -> Atom.t list -> Instance.t
+
 (** {1 Low-level columnar access}
 
     The raw surface compiled join plans probe ({!Plan.source_of_cinstance}).

@@ -124,3 +124,17 @@ let snapshot m =
       m.snap <- snap;
       m.pending <- [];
       snap
+
+(* The atoms of [gone] are dropped from the last folded image, and the
+   pending atoms are folded in only when they survive: atoms that are
+   about to be deleted never enter the persistent structure. *)
+let snapshot_without m gone =
+  let kept = List.fold_left (fun i a -> Instance.remove a i) m.snap gone in
+  match m.pending with
+  | [] -> kept
+  | pending ->
+      let doomed = AtomTbl.create 64 in
+      List.iter (fun a -> AtomTbl.replace doomed a ()) gone;
+      let survivors = List.filter (fun a -> not (AtomTbl.mem doomed a)) pending in
+      if survivors <> [] then Obs.count "minstance.snapshot.folds" (List.length survivors);
+      List.fold_left (fun i a -> Instance.add a i) kept survivors

@@ -37,3 +37,10 @@ val iter : (Atom.t -> unit) -> t -> unit
 (** Persistent image of the current contents.  Amortized O(atoms added
     since the previous snapshot). *)
 val snapshot : t -> Instance.t
+
+(** [snapshot_without m gone]: persistent image of the contents minus
+    the atoms of [gone], built without folding those in — the previous
+    snapshot minus the [gone] atoms it holds, plus the atoms added since
+    that are not in [gone].  O(|gone| + atoms added since the previous
+    snapshot); [m] and its own image are unchanged. *)
+val snapshot_without : t -> Atom.t list -> Instance.t

@@ -90,7 +90,9 @@ let create ?(strategy = Restricted.Fifo) ?(backend = `Compiled) tgds database =
       tgds;
       strategy;
       backend;
-      plans = List.map (fun tgd -> (tgd, Plan.of_tgd tgd)) tgds;
+      (* the session's own plans, not [Plan.of_tgd]'s process-wide
+         cache, which would keep them after the session is gone *)
+      plans = List.map (fun tgd -> (tgd, Plan.compile tgd)) tgds;
       base = database;
       store = Store.of_instance backend database;
       memo = Plan.Head_memo.create ();
@@ -111,6 +113,8 @@ let tgds t = t.tgds
 let base t = t.base
 let backend t = t.backend
 let instance t = t.store.Store.snapshot ()
+let mem t atom = t.store.Store.mem atom
+let source t = t.store.Store.source
 let cardinal t = t.store.Store.cardinal ()
 let pending t = Restricted.Pool.size t.pool
 let saturated t = t.saturated
@@ -192,17 +196,15 @@ let over_delete t retracted =
   t.log_len <- !kept;
   gone
 
-(* Replay: reload the store from the survivors, keep the pending
+(* Replay: reload the store from the survivors (the deleted atoms
+   never folded into a persistent image), keep the pending
    triggers whose body survived in a fresh pool (the old pool's dedup
    set remembers every trigger it ever saw, and would drop the ones a
    later assert rediscovers), and push every trigger a deleted atom may
    have witnessed the head of. *)
 let replay t gone =
   let deleted = List.sort Atom.compare (AtomTbl.fold (fun a () acc -> a :: acc) gone []) in
-  let survivors =
-    List.fold_left (fun i a -> Instance.remove a i) (t.store.Store.snapshot ()) deleted
-  in
-  t.store <- Store.of_instance t.backend survivors;
+  t.store <- Store.of_instance t.backend (t.store.Store.snapshot_without deleted);
   let pending = ref [] in
   Restricted.Pool.iter t.pool (fun trigger ->
       if not (List.exists (AtomTbl.mem gone) (body_of trigger)) then

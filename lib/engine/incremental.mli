@@ -46,10 +46,14 @@
     the pool is fresh (its dedup set would drop triggers a later assert
     rediscovers).  The next chase therefore saturates to a model in
     which every atom is derivable from the surviving base: a universal
-    model, hom-equivalent to a from-scratch chase of it.  The fuzz
-    oracle's [incremental-equivalence] profile retracts every other
-    batch after saturation, base facts a step also derives, and facts
-    of a budget-stopped session, on both stores.  The log holds at most
+    model, hom-equivalent to a from-scratch chase of it.  The survivors
+    are built by the store's [snapshot_without], so an atom the
+    retraction deletes is never folded into a persistent image.  The
+    fuzz oracle's [incremental-equivalence] profile retracts every
+    other batch after saturation, then the rest, base facts a step also
+    derives, every other batch of a session that never took a snapshot,
+    and facts of a budget-stopped session, on both stores and on
+    multi-head variants of the drawn sets.  The log holds at most
     one entry per atom of the instance: an active trigger always adds
     one. *)
 
@@ -92,8 +96,18 @@ val backend : t -> Store.backend
 val base : t -> Instance.t
 
 (** Persistent snapshot of the current (possibly partial) chase
-    result. *)
+    result.  Folds every atom added since the previous snapshot into
+    the persistent image; request paths read the live store through
+    {!mem} and {!source} instead. *)
 val instance : t -> Instance.t
+
+(** Membership in the current chase result, read from the live store. *)
+val mem : t -> Atom.t -> bool
+
+(** The live store as a plan source — what queries over the current
+    chase result run against.  A retraction replaces the store, so take
+    the source afresh per use. *)
+val source : t -> Plan.source
 
 val cardinal : t -> int
 

@@ -51,6 +51,7 @@ let tgd p = p.tgd
 let next_id = ref 0
 
 let compile tgd =
+  Obs.incr "plan.compile";
   let body = Array.of_list (Tgd.body tgd) in
   let head = Array.of_list (Tgd.head tgd) in
   (* Intern every variable of the TGD into a slot. *)
@@ -228,10 +229,11 @@ let of_tgd tgd =
           match TgdMap.find_opt tgd !cache with
           | Some p -> p
           | None ->
-              Obs.incr "plan.compile";
               let p = compile tgd in
               cache := TgdMap.add tgd p !cache;
               p)
+
+let cached () = TgdMap.cardinal !cache
 
 (* ------------------------------------------------------------------ *)
 (* Sources                                                             *)
@@ -531,6 +533,29 @@ let iter_homs p src f =
       | Some csteps ->
           let env, trail = cscratch p in
           run_steps_c csteps env trail 0 (fun () -> f (sub_of_env_c p ci env)))
+
+let iter_tuples p src vars f =
+  let slots =
+    Array.of_list
+      (List.map
+         (fun v ->
+           match Array.find_opt (fun s -> Term.equal p.var_of_slot.(s) v) p.body_slots with
+           | Some s -> s
+           | None -> invalid_arg "Plan.iter_tuples: not a body variable")
+         vars)
+  in
+  match src with
+  | Generic g ->
+      let env, trail = scratch p in
+      run_steps g p.body_order env trail 0 (fun () ->
+          f (Array.fold_right (fun s acc -> Option.get env.(s) :: acc) slots []))
+  | Columnar ci -> (
+      match resolve_steps ci p.body_order with
+      | None -> ()
+      | Some csteps ->
+          let env, trail = cscratch p in
+          run_steps_c csteps env trail 0 (fun () ->
+              f (Array.fold_right (fun s acc -> Cinstance.term_of_id ci env.(s) :: acc) slots [])))
 
 let iter_delta_homs p src atom f =
   let pred = Atom.pred atom in

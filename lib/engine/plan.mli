@@ -35,8 +35,14 @@ type t
 val compile : Tgd.t -> t
 
 (** Memoizing wrapper around {!compile} (keyed by the TGD itself), so
-    call sites that receive plain TGD lists still compile once. *)
+    call sites that receive plain TGD lists still compile once.  The
+    cache is process-wide and never evicts: long-lived callers that see
+    an open-ended stream of TGDs (serve sessions, queries) compile
+    privately with {!compile} instead. *)
 val of_tgd : Tgd.t -> t
+
+(** Number of plans the {!of_tgd} cache holds. *)
+val cached : unit -> int
 
 val tgd : t -> Tgd.t
 
@@ -61,6 +67,15 @@ val source_of_cinstance : Cinstance.t -> source
     [tgd p] into the source.  The substitutions bind exactly the body
     variables (same domain as the generic search). *)
 val iter_homs : t -> source -> (Substitution.t -> unit) -> unit
+
+(** [iter_tuples p src vars f] calls [f] on the image of [vars] under
+    every body homomorphism into the source, in the order of [vars] —
+    the projection {!iter_homs} would give, read straight from the
+    matching slots, with no substitution built.  Duplicates are not
+    removed.  Used to evaluate conjunctive queries
+    ([Chase_query.Conjunctive_query]).
+    @raise Invalid_argument when some of [vars] is not a body variable. *)
+val iter_tuples : t -> source -> Term.t list -> (Term.t list -> unit) -> unit
 
 (** [iter_delta_homs p src atom f]: every body homomorphism that maps at
     least one body atom onto [atom], found by seeding each body position

@@ -190,20 +190,33 @@ end
 (* --- JSON-lines sink ------------------------------------------------ *)
 
 module Jsonl = struct
+  (* The runs between escaped characters are copied whole, so a string
+     that needs no escaping costs one copy and no allocation. *)
+  let add_escaped buf s =
+    let n = String.length s in
+    let start = ref 0 in
+    for i = 0 to n - 1 do
+      let esc =
+        match String.unsafe_get s i with
+        | '"' -> "\\\""
+        | '\\' -> "\\\\"
+        | '\n' -> "\\n"
+        | '\t' -> "\\t"
+        | '\r' -> "\\r"
+        | c when Char.code c < 0x20 -> Printf.sprintf "\\u%04x" (Char.code c)
+        | _ -> ""
+      in
+      if String.length esc > 0 then begin
+        Buffer.add_substring buf s !start (i - !start);
+        Buffer.add_string buf esc;
+        start := i + 1
+      end
+    done;
+    Buffer.add_substring buf s !start (n - !start)
+
   let escape s =
     let buf = Buffer.create (String.length s) in
-    String.iter
-      (fun c ->
-        match c with
-        | '"' -> Buffer.add_string buf "\\\""
-        | '\\' -> Buffer.add_string buf "\\\\"
-        | '\n' -> Buffer.add_string buf "\\n"
-        | '\t' -> Buffer.add_string buf "\\t"
-        | '\r' -> Buffer.add_string buf "\\r"
-        | c when Char.code c < 0x20 ->
-            Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-        | c -> Buffer.add_char buf c)
-      s;
+    add_escaped buf s;
     Buffer.contents buf
 
   let float_lit f =

@@ -168,4 +168,8 @@ module Jsonl : sig
 
   (** JSON string-escape (no surrounding quotes); exposed for tests. *)
   val escape : string -> string
+
+  (** [add_escaped buf s] appends [escape s] to [buf] without building
+      it: a string that needs no escaping is added whole. *)
+  val add_escaped : Buffer.t -> string -> unit
 end

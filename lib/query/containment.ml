@@ -30,15 +30,8 @@ let contained_in ?(max_steps = 20_000) ~tgds q1 q2 =
   | Derivation.Terminated ->
       let model = Derivation.final derivation in
       (* q₂'s answer variables must land on q₁'s frozen answers *)
-      let init =
-        List.fold_left2
-          (fun s v2 v1 ->
-            match v1 with
-            | Term.Var name -> Substitution.bind v2 (frozen_const name) s
-            | Term.Const _ | Term.Null _ -> s)
-          Substitution.empty a2 a1
-      in
-      Ok (Homomorphism.exists ~init (Conjunctive_query.body q2) model)
+      let frozen = List.map (function Term.Var name -> frozen_const name | t -> t) a1 in
+      Ok (List.exists (List.equal Term.equal frozen) (Conjunctive_query.answers q2 model))
 
 let equivalent ?max_steps ~tgds q1 q2 =
   match (contained_in ?max_steps ~tgds q1 q2, contained_in ?max_steps ~tgds q2 q1) with

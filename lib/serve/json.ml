@@ -233,7 +233,7 @@ let rec print buf = function
       else Buffer.add_string buf "null"
   | Str s ->
       Buffer.add_char buf '"';
-      Buffer.add_string buf (Obs.Jsonl.escape s);
+      Obs.Jsonl.add_escaped buf s;
       Buffer.add_char buf '"'
   | Arr items ->
       Buffer.add_char buf '[';
@@ -249,7 +249,7 @@ let rec print buf = function
         (fun i (k, v) ->
           if i > 0 then Buffer.add_string buf ", ";
           Buffer.add_char buf '"';
-          Buffer.add_string buf (Obs.Jsonl.escape k);
+          Obs.Jsonl.add_escaped buf k;
           Buffer.add_string buf "\": ";
           print buf v)
         fields;

@@ -143,9 +143,8 @@ let handle_assert t ~session ~facts =
      so an idempotent re-assert near — or past, since a chase step can
      overshoot the cap by its last atom — the cap isn't spuriously
      refused: adding nothing is always admissible. *)
-  let snapshot = Chase_engine.Incremental.instance inc in
   let fresh =
-    List.filter (fun a -> not (Instance.mem a snapshot)) atoms
+    List.filter (fun a -> not (Chase_engine.Incremental.mem inc a)) atoms
     |> List.sort_uniq Atom.compare
   in
   if fresh <> [] && Chase_engine.Incremental.cardinal inc + List.length fresh > cap then
@@ -193,7 +192,7 @@ let handle_query t ~session ~query =
   in
   let answers =
     Session.with_obs s (fun () ->
-        Chase_query.Conjunctive_query.answers q (Chase_engine.Incremental.instance inc))
+        Chase_query.Conjunctive_query.answers_on q (Chase_engine.Incremental.source inc))
     |> List.filter (List.for_all Term.is_const)
   in
   [

@@ -90,4 +90,107 @@ let unit_tests =
           (Containment.equivalent ~tgds q1 q2));
   ]
 
-let suite = [ ("query", unit_tests) ]
+(* The plan-based evaluator against the generic homomorphism search as
+   the reference: random queries (constants in the body, repeated
+   variables, answers bound to nulls, a predicate [u] no instance holds)
+   over random chased programs, on every source. *)
+let reference_answers q inst =
+  Homomorphism.all (Conjunctive_query.body q) inst
+  |> Seq.map (fun h -> List.map (Substitution.apply_term h) (Conjunctive_query.answer_vars q))
+  |> List.of_seq
+  |> List.sort_uniq (List.compare Term.compare)
+
+let query_gen =
+  let open QCheck2.Gen in
+  let term =
+    frequency
+      [
+        (3, map (fun v -> Term.Var v) (oneofl [ "X"; "Y"; "Z" ]));
+        (1, map (fun c -> Term.Const c) (oneofl [ "a"; "b" ]));
+      ]
+  in
+  let atom =
+    let* p, ar = oneofl (("u", 2) :: Tgen.schema_preds) in
+    let* args = list_repeat ar term in
+    return (Atom.make p args)
+  in
+  let* body = list_size (int_range 1 3) atom in
+  let vars =
+    Term.Set.elements
+      (List.fold_left (fun s a -> Term.Set.union (Atom.var_set a) s) Term.Set.empty body)
+  in
+  let* answer_vars = if vars = [] then return [] else list_size (int_range 0 3) (oneofl vars) in
+  return (Conjunctive_query.make ~answer_vars ~body ())
+
+let sources inst =
+  let added_c = Cinstance.create () and added_m = Minstance.create () in
+  Instance.iter
+    (fun a ->
+      ignore (Cinstance.add added_c a);
+      ignore (Minstance.add added_m a))
+    inst;
+  let open Chase_engine.Plan in
+  [
+    ("instance", source_of_instance inst);
+    ("minstance", source_of_minstance (Minstance.of_instance inst));
+    ("minstance by adds", source_of_minstance added_m);
+    ("cinstance", source_of_cinstance (Cinstance.of_instance inst));
+    ("cinstance by adds", source_of_cinstance added_c);
+  ]
+
+let plan_tests =
+  let open QCheck2 in
+  [
+    Alcotest.test_case "answers on every source: constants, repeats, nulls, absent predicates"
+      `Quick (fun () ->
+        let tgds, db = program "emp(X) -> exists Y. mgr(X,Y).\nr(a,a). r(a,b). emp(ada)." in
+        let model = Chase_engine.Derivation.final (Chase_engine.Restricted.run tgds db) in
+        let tuples = Alcotest.(list (list string)) in
+        let strings = List.map (List.map Term.to_string) in
+        List.iter
+          (fun (what, src) ->
+            let answers q = strings (Conjunctive_query.answers_on (parse_q q) src) in
+            Alcotest.check tuples (what ^ ": constant") [ [ "a" ]; [ "b" ] ] (answers "r(a,Y) -> ans(Y).");
+            Alcotest.check tuples (what ^ ": repeated variable") [ [ "a" ] ]
+              (answers "r(X,X) -> ans(X).");
+            Alcotest.check tuples (what ^ ": repeated answer") [ [ "a"; "a" ]; [ "a"; "b" ] ]
+              (answers "r(X,Y) -> ans(X,Y).");
+            Alcotest.check tuples (what ^ ": absent predicate") [] (answers "u(X,Y) -> ans(X).");
+            let nulls = Conjunctive_query.answers_on (parse_q "mgr(X,Y) -> ans(Y).") src in
+            Alcotest.(check bool) (what ^ ": one answer, a null") true
+              (match nulls with [ [ Term.Null _ ] ] -> true | _ -> false);
+            Alcotest.(check bool) (what ^ ": holds") true
+              (Conjunctive_query.holds_on (parse_q "r(X,X), emp(Y) -> ans(X).") src);
+            Alcotest.(check bool) (what ^ ": does not hold") false
+              (Conjunctive_query.holds_on (parse_q "r(b,X) -> ans(X).") src))
+          (sources model);
+        Alcotest.(check int) "no certain manager" 0
+          (List.length
+             (Certain_answers.compute ~tgds ~database:db (parse_q "mgr(X,Y) -> ans(Y)."))
+               .Certain_answers.answers));
+    Alcotest.test_case "a query body may not hold a null" `Quick (fun () ->
+        match Conjunctive_query.boolean [ Atom.make "r" [ Term.Null "n"; Term.Var "X" ] ] with
+        | exception Invalid_argument _ -> ()
+        | _ -> Alcotest.fail "expected Invalid_argument");
+    QCheck_alcotest.to_alcotest
+      (Test.make ~name:"plan-based answers equal the homomorphism search" ~count:300
+         ~print:(fun (_, _, q) -> Format.asprintf "%a" Conjunctive_query.pp q)
+         (Gen.triple (Gen.list_size (Gen.int_range 1 2) Tgen.tgd_gen) Tgen.instance_gen query_gen)
+         (fun (tgds, inst, q) ->
+           let db = Instance.filter (fun a -> List.for_all Term.is_const (Atom.terms a)) inst in
+           let model = Chase_engine.Derivation.final (Chase_engine.Restricted.run ~max_steps:60 tgds db) in
+           let expected = reference_answers q model in
+           let holds = Homomorphism.exists (Conjunctive_query.body q) model in
+           List.for_all
+             (fun (what, src) ->
+               let got = Conjunctive_query.answers_on q src in
+               if not (List.equal (List.equal Term.equal) expected got) then
+                 Test.fail_reportf "%s: %d answers, the search finds %d" what (List.length got)
+                   (List.length expected);
+               if Conjunctive_query.holds_on q src <> holds then
+                 Test.fail_reportf "%s: holds is %b" what (not holds);
+               true)
+             (sources model)));
+  ]
+
+let suite = [ ("query", unit_tests @ plan_tests) ]

@@ -69,6 +69,9 @@ let test_json_roundtrip () =
   let doc = {|{"a": [1, -2.5, true, null, "q\"uote\n"], "b": {"c": 1e3}}|} in
   let v = Json.parse doc in
   Alcotest.(check string) "stable rendering" (Json.to_string v) (Json.to_string (Json.parse (Json.to_string v)));
+  (* escapes at the ends and between clean runs; a clean string verbatim *)
+  Alcotest.(check string) "escaped rendering" {|["\"a\\b\n\t\r\u0001", "plain_x1"]|}
+    (Json.to_string (Json.Arr [ Json.Str "\"a\\b\n\t\r\001"; Json.Str "plain_x1" ]));
   Alcotest.(check int) "int member" 1
     (Option.get (Json.to_int_opt (Json.member "a" v |> Option.get |> function
       | Json.Arr (x :: _) -> Some x
@@ -355,6 +358,29 @@ let test_query_contract () =
   Alcotest.(check int) "null tuples filtered" 0 (get_int r [ "count" ]);
   check_error "parse-error" (op ~extra:[ ("query", Json.Str "q(X,") ] srv "query")
 
+(* Sessions and queries compile their own plans: a stream of programs
+   with fresh TGDs, each loaded, chased, queried, changed and closed,
+   leaves the process-wide plan cache as it found it. *)
+let test_sessions_keep_no_plans () =
+  let srv = server () in
+  let before = Plan.cached () in
+  for i = 1 to 5 do
+    let session = Printf.sprintf "leak%d" i in
+    let p = Printf.sprintf "e%d" i and r = Printf.sprintf "r%d" i in
+    check_ok
+      (load ~session srv
+         (Printf.sprintf "%s(X,Y) -> %s(X,Y). %s(X,Y), %s(Y,Z) -> exists W. %s(X,W). %s(a,b). %s(b,c)."
+            p r r p r p p));
+    check_ok (op ~session srv "chase");
+    check_ok (op ~session ~extra:[ ("facts", Json.Str (p ^ "(c,d).")) ] srv "assert");
+    check_ok (op ~session srv "chase");
+    check_ok (op ~session ~extra:[ ("query", Json.Str (r ^ "(a,Y) -> ans(Y).")) ] srv "query");
+    check_ok (op ~session ~extra:[ ("facts", Json.Str (p ^ "(a,b).")) ] srv "retract");
+    check_ok (op ~session srv "chase");
+    check_ok (op ~session srv "close")
+  done;
+  Alcotest.(check int) "plan cache unchanged" before (Plan.cached ())
+
 (* --- decide op -------------------------------------------------------- *)
 
 let test_decide_op () =
@@ -509,6 +535,8 @@ let suite =
         Alcotest.test_case "malformed input never kills the server" `Quick test_malformed_input;
         Alcotest.test_case "over-long request lines are skipped" `Quick test_line_cap;
         Alcotest.test_case "query needs saturation, filters nulls" `Quick test_query_contract;
+        Alcotest.test_case "sessions keep no plans in the global cache" `Quick
+          test_sessions_keep_no_plans;
         Alcotest.test_case "decide: fixed, starved budget, portfolio" `Quick test_decide_op;
         Alcotest.test_case "request ids echo into replies" `Quick test_id_echo;
         Alcotest.test_case "stale-socket unlink refuses non-sockets" `Quick
