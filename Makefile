@@ -26,12 +26,18 @@ fuzz:
 
 # Golden-transcript conversation through `chasectl serve` over stdio
 # (docs/SERVICE.md).  wall_ms is the only nondeterministic reply field;
-# normalize it before diffing.
+# normalize it before diffing.  The script runs twice: on the default
+# store backend, and with `--backend compiled` diffed against the same
+# transcript with the "backend" field normalized on both sides.
+WALL_MS = sed -E 's/"wall_ms": *[0-9.eE+-]+/"wall_ms": 0/g'
+NO_BACKEND = sed -E 's/"backend": *"[a-z]+"/"backend": "-"/g'
 serve-smoke:
 	dune build bin/chasectl.exe
 	./_build/default/bin/chasectl.exe serve < test/serve/script.jsonl \
-	  | sed -E 's/"wall_ms": *[0-9.eE+-]+/"wall_ms": 0/g' \
-	  | diff -u test/serve/golden.jsonl -
+	  | $(WALL_MS) | diff -u test/serve/golden.jsonl -
+	$(NO_BACKEND) test/serve/golden.jsonl > _build/serve-golden-any-backend.jsonl
+	./_build/default/bin/chasectl.exe serve --backend compiled < test/serve/script.jsonl \
+	  | $(WALL_MS) | $(NO_BACKEND) | diff -u _build/serve-golden-any-backend.jsonl -
 
 examples:
 	dune exec examples/quickstart.exe

@@ -627,10 +627,11 @@ let serve_cmd =
   let serve_backend_arg =
     Arg.(
       value
-      & opt store_backend_conv `Compiled
+      & opt store_backend_conv Chase_serve.Server.default_config.Chase_serve.Server.backend
       & info [ "backend" ] ~docv:"B"
           ~doc:
-            "Default store backend for new sessions: $(b,compiled) or $(b,columnar).  A \
+            "Default store backend for new sessions: $(b,columnar) (interned columns; a \
+             retract compacts the store in place) or $(b,compiled) (hash-indexed).  A \
              $(b,load-program) request may override it per session with a \"backend\" field.")
   in
   Cmd.v

@@ -140,7 +140,7 @@ type rel = {
   mutable cols : int array array;  (* [arity] arrays of length [cap] *)
   mutable base_n : int;  (* rows covered by [base_perm] *)
   mutable base_perm : int array array;  (* per position: rows [0, base_n) sorted by cell id *)
-  index : Ptbl.t array;  (* per position: term id -> rows >= base_n *)
+  mutable index : Ptbl.t array;  (* per position: term id -> rows >= base_n *)
   mutable rowset : Imap.t;  (* id-tuple hash -> candidate rows, for rows [0, hashed) *)
   mutable hashed : int;  (* rows the rowset covers; see [sync_rowset] *)
   scratch : int array;  (* per-add id buffer; mutation is single-domain *)
@@ -151,7 +151,9 @@ type t = {
   by_name : (string, rel list) Hashtbl.t;  (* arity variants, oldest first *)
   mutable memo : rel option;  (* last relation touched by [add] *)
   mutable size : int;
-  mutable snap : Instance.t;  (* persistent image of all but [pending] *)
+  mutable snap : Instance.t option;
+      (* persistent image of all but [pending]; [None] after a [remove],
+         until [snapshot] rebuilds it from the rows *)
   mutable pending : Atom.t list;  (* added since [snap], newest first *)
 }
 
@@ -161,7 +163,7 @@ let create ?(size_hint = 64) () =
     by_name = Hashtbl.create 16;
     memo = None;
     size = 0;
-    snap = Instance.empty;
+    snap = Some Instance.empty;
     pending = [];
   }
 
@@ -213,38 +215,36 @@ let build_base r =
         done;
         perm)
 
-(* [base_range r pos id] is the half-open [base_perm.(pos)] interval of
-   rows whose [pos]-th cell is [id] — [(0, 0)]-style empty when the
-   base tier does not cover it. *)
-let base_range r pos id =
-  if r.base_n = 0 || pos >= Array.length r.base_perm then (0, 0)
-  else begin
-    let perm = r.base_perm.(pos) in
-    let col = r.cols.(pos) in
-    let n = r.base_n in
-    let lo = ref 0 and hi = ref n in
-    while !lo < !hi do
-      let mid = (!lo + !hi) lsr 1 in
-      if col.(perm.(mid)) < id then lo := mid + 1 else hi := mid
-    done;
-    let first = !lo in
-    let lo = ref first and hi = ref n in
-    while !lo < !hi do
-      let mid = (!lo + !hi) lsr 1 in
-      if col.(perm.(mid)) <= id then lo := mid + 1 else hi := mid
-    done;
-    (first, !lo)
-  end
+(* The half-open [base_perm.(pos)] interval of rows whose [pos]-th
+   cell is [id] is [base_lo, base_hi) — empty when the base tier does
+   not cover [pos].  Two int-returning searches rather than one that
+   returns a pair, so a probe allocates nothing. *)
+let base_covers r pos = r.base_n > 0 && pos < Array.length r.base_perm
+
+(* First index from [lo] whose cell is [>= id], or [> id] when [past]. *)
+let base_search r pos id lo past =
+  let perm = r.base_perm.(pos) and col = r.cols.(pos) in
+  let lo = ref lo and hi = ref r.base_n in
+  while !lo < !hi do
+    let mid = (!lo + !hi) lsr 1 in
+    let v = col.(perm.(mid)) in
+    if v < id || (past && v = id) then lo := mid + 1 else hi := mid
+  done;
+  !lo
+
+let base_lo r pos id = if base_covers r pos then base_search r pos id 0 false else 0
+let base_hi r pos id lo = if base_covers r pos then base_search r pos id lo true else 0
 
 (* [mem] on a bulk-loaded relation whose rowset is not built yet: scan
-   the narrowest base-tier range for a row with cells [ids].  Read-only,
-   like every probe of a frozen store. *)
-let base_mem r ids =
-  if r.arity = 0 then r.nrows > 0
+   the narrowest base-tier range for a row with cells [ids], and return
+   it, or [-1].  Read-only, like every probe of a frozen store. *)
+let base_find r ids =
+  if r.arity = 0 then if r.nrows > 0 then 0 else -1
   else begin
     let best = ref 0 and lo = ref 0 and hi = ref max_int in
     for pos = 0 to r.arity - 1 do
-      let l, h = base_range r pos ids.(pos) in
+      let l = base_lo r pos ids.(pos) in
+      let h = base_hi r pos ids.(pos) l in
       if h - l < !hi - !lo then begin
         best := pos;
         lo := l;
@@ -252,14 +252,14 @@ let base_mem r ids =
       end
     done;
     let perm = r.base_perm.(!best) in
-    let found = ref false and k = ref !lo in
-    while (not !found) && !k < !hi do
+    let found = ref (-1) and k = ref !lo in
+    while !found < 0 && !k < !hi do
       let row = perm.(!k) in
       let ok = ref true in
       for i = 0 to r.arity - 1 do
         if r.cols.(i).(row) <> ids.(i) then ok := false
       done;
-      if !ok then found := true;
+      if !ok then found := row;
       incr k
     done;
     !found
@@ -317,22 +317,22 @@ let sync_rowset r =
     Obs.count "cinstance.rowset.rows" rows
   end
 
-(* Is there a row of [r] in [0, hashed) whose cells equal [ids]?  Probes
-   the rowset multimap inline: every slot holding hash [h] names a
-   candidate row whose columns are then compared cell by cell. *)
-let row_mem r h ids =
+(* The row of [r] in [0, hashed) whose cells equal [ids], or [-1].
+   Probes the rowset multimap inline: every slot holding hash [h] names
+   a candidate row whose columns are then compared cell by cell. *)
+let row_find r h ids =
   let keys = r.rowset.Imap.keys and vals = r.rowset.Imap.vals in
   let mask = Array.length keys - 1 in
   let j = ref (mix h land mask) in
-  let found = ref false in
-  while (not !found) && keys.(!j) >= 0 do
+  let found = ref (-1) in
+  while !found < 0 && keys.(!j) >= 0 do
     (if keys.(!j) = h then begin
        let row = vals.(!j) in
        let ok = ref true in
        for i = 0 to r.arity - 1 do
          if r.cols.(i).(row) <> ids.(i) then ok := false
        done;
-       if !ok then found := true
+       if !ok then found := row
      end);
     j := (!j + 1) land mask
   done;
@@ -358,7 +358,7 @@ let add c atom =
     ids.(i) <- Term_interner.intern c.interner (Atom.arg atom i)
   done;
   let h = hash_ids ids arity in
-  if row_mem r h ids then begin
+  if row_find r h ids >= 0 then begin
     Obs.incr "cinstance.dup";
     false
   end
@@ -374,7 +374,7 @@ let add c atom =
     r.nrows <- row + 1;
     r.hashed <- row + 1;
     c.size <- c.size + 1;
-    c.pending <- atom :: c.pending;
+    if Option.is_some c.snap then c.pending <- atom :: c.pending;
     true
   end
 
@@ -433,7 +433,7 @@ let of_instance i =
     c.by_name;
   c.size <- Instance.cardinal i;
   (* the snapshot is free when it starts from the source instance *)
-  c.snap <- i;
+  c.snap <- Some i;
   c.pending <- [];
   c
 
@@ -443,19 +443,23 @@ let interner c = c.interner
 
 let rel_lookup c pred arity = List.find_opt (fun r -> r.arity = arity) (variants c pred)
 
+(* The row of [r] holding [atom], or [-1].  Read-only. *)
+let row_of c r atom =
+  let arity = r.arity in
+  let ids = Array.make (max 1 arity) 0 in
+  let known = ref true in
+  for i = 0 to arity - 1 do
+    let id = Term_interner.find c.interner (Atom.arg atom i) in
+    if id < 0 then known := false else ids.(i) <- id
+  done;
+  if not !known then -1
+  else if r.hashed = r.nrows then row_find r (hash_ids ids arity) ids
+  else base_find r ids
+
 let mem c atom =
-  let pred = Atom.pred atom and arity = Atom.arity atom in
-  match rel_lookup c pred arity with
+  match rel_lookup c (Atom.pred atom) (Atom.arity atom) with
   | None -> false
-  | Some r ->
-      let ids = Array.make (max 1 arity) 0 in
-      let known = ref true in
-      for i = 0 to arity - 1 do
-        let id = Term_interner.find c.interner (Atom.arg atom i) in
-        if id < 0 then known := false else ids.(i) <- id
-      done;
-      !known
-      && if r.hashed = r.nrows then row_mem r (hash_ids ids arity) ids else base_mem r ids
+  | Some r -> row_of c r atom >= 0
 
 let cardinal c = c.size
 
@@ -474,10 +478,10 @@ let pred_count c pred = List.fold_left (fun acc r -> acc + r.nrows) 0 (variants 
    posting (later adds, also ascending). *)
 let iter_posting_rows r pos id f =
   if pos >= 0 && pos < r.arity && id >= 0 then begin
-    let lo, hi = base_range r pos id in
-    let perm = if r.base_n = 0 then [||] else r.base_perm.(pos) in
+    let lo = base_lo r pos id in
+    let hi = base_hi r pos id lo in
     for k = lo to hi - 1 do
-      f perm.(k)
+      f r.base_perm.(pos).(k)
     done;
     let p = Ptbl.find r.index.(pos) id in
     for j = 0 to p.n - 1 do
@@ -488,8 +492,8 @@ let iter_posting_rows r pos id f =
 let posting_rows_count r pos id =
   if pos < 0 || pos >= r.arity || id < 0 then 0
   else
-    let lo, hi = base_range r pos id in
-    hi - lo + (Ptbl.find r.index.(pos) id).n
+    let lo = base_lo r pos id in
+    base_hi r pos id lo - lo + (Ptbl.find r.index.(pos) id).n
 
 let with_pos_term c pred pos term =
   let id = find_id c term in
@@ -517,29 +521,116 @@ let iter f c =
     c.by_name
 
 let snapshot c =
-  match c.pending with
-  | [] -> c.snap
-  | pending ->
+  match (c.snap, c.pending) with
+  | Some snap, [] -> snap
+  | Some snap, pending ->
       Obs.count "cinstance.snapshot.folds" (List.length pending);
-      let snap = List.fold_left (fun i a -> Instance.add a i) c.snap pending in
-      c.snap <- snap;
+      let snap = List.fold_left (fun i a -> Instance.add a i) snap pending in
+      c.snap <- Some snap;
       c.pending <- [];
       snap
+  | None, _ ->
+      Obs.count "cinstance.snapshot.folds" c.size;
+      let snap = ref Instance.empty in
+      iter (fun a -> snap := Instance.add a !snap) c;
+      c.snap <- Some !snap;
+      !snap
 
-module AtomTbl = Hashtbl.Make (Atom)
+(* Back to the state a bulk load leaves: every row in the base tier,
+   no hash-tier postings, no rowset (the next [add] hashes the rows). *)
+let rebuild_tiers r =
+  build_base r;
+  r.index <- Array.init r.arity (fun _ -> Ptbl.create 16);
+  r.rowset <- Imap.create 2;
+  r.hashed <- 0
 
-(* As [Minstance.snapshot_without]: atoms about to be deleted never
-   enter the persistent image. *)
-let snapshot_without c gone =
-  let kept = List.fold_left (fun i a -> Instance.remove a i) c.snap gone in
-  match c.pending with
-  | [] -> kept
-  | pending ->
-      let doomed = AtomTbl.create 64 in
-      List.iter (fun a -> AtomTbl.replace doomed a ()) gone;
-      let survivors = List.filter (fun a -> not (AtomTbl.mem doomed a)) pending in
-      if survivors <> [] then Obs.count "cinstance.snapshot.folds" (List.length survivors);
-      List.fold_left (fun i a -> Instance.add a i) kept survivors
+(* Compact the interner to the terms the rows still use, renumbering
+   every cell.  The renaming keeps id order, so a base tier over
+   renamed cells stays sorted; the hash tier and the rowset are keyed
+   by old ids, so a relation holding either is rebuilt. *)
+let compact_terms c =
+  let n = Term_interner.cardinal c.interner in
+  let live = Bytes.make n '\000' in
+  let rels = Hashtbl.fold (fun _ rs acc -> rs @ acc) c.by_name [] in
+  List.iter
+    (fun r ->
+      Array.iter
+        (fun col ->
+          for row = 0 to r.nrows - 1 do
+            Bytes.unsafe_set live col.(row) '\001'
+          done)
+        r.cols)
+    rels;
+  let dead = ref 0 in
+  Bytes.iter (fun b -> if b = '\000' then incr dead) live;
+  if !dead > 0 then begin
+    Obs.count "cinstance.compact.terms" !dead;
+    let remap = Term_interner.compact c.interner live in
+    List.iter
+      (fun r ->
+        let changed = ref false in
+        Array.iter
+          (fun col ->
+            for row = 0 to r.nrows - 1 do
+              let id = remap.(col.(row)) in
+              if id <> col.(row) then begin
+                col.(row) <- id;
+                changed := true
+              end
+            done)
+          r.cols;
+        if !changed && (r.base_n < r.nrows || r.hashed > 0) then rebuild_tiers r)
+      rels
+  end
+
+let remove c atoms =
+  (* the rows to delete, marked per relation *)
+  let doomed = ref [] in
+  List.iter
+    (fun a ->
+      match rel_lookup c (Atom.pred a) (Atom.arity a) with
+      | None -> ()
+      | Some r ->
+          let row = row_of c r a in
+          if row >= 0 then begin
+            let marks =
+              match List.assq_opt r !doomed with
+              | Some m -> m
+              | None ->
+                  let m = Bytes.make r.nrows '\000' in
+                  doomed := (r, m) :: !doomed;
+                  m
+            in
+            Bytes.set marks row '\001'
+          end)
+    atoms;
+  if not (List.is_empty !doomed) then begin
+    (* slide the surviving rows down, keeping their order *)
+    let removed = ref 0 in
+    List.iter
+      (fun (r, marks) ->
+        let w = ref 0 in
+        for row = 0 to r.nrows - 1 do
+          if Bytes.get marks row = '\000' then begin
+            if !w < row then Array.iter (fun col -> col.(!w) <- col.(row)) r.cols;
+            incr w
+          end
+        done;
+        removed := !removed + (r.nrows - !w);
+        r.nrows <- !w;
+        if !w > 0 then rebuild_tiers r
+        else
+          match List.filter (fun r' -> r' != r) (variants c r.pred) with
+          | [] -> Hashtbl.remove c.by_name r.pred
+          | rs -> Hashtbl.replace c.by_name r.pred rs)
+      !doomed;
+    Obs.count "cinstance.compact.rows" !removed;
+    c.size <- c.size - !removed;
+    c.memo <- None;
+    c.snap <- None;
+    c.pending <- [];
+    compact_terms c
+  end
 
 module Rel = struct
   type nonrec t = rel

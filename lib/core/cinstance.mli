@@ -27,7 +27,14 @@
     intern: a term the store has not seen occurs in no row), so the
     parallel speculative activity scan may probe a frozen store from
     many domains, exactly as with {!Minstance}.  All mutation
-    ({!add}) is single-domain, like every engine's. *)
+    ({!add}, {!remove}) is single-domain, like every engine's.
+
+    {b How long an id lives.}  A term id (from {!find_id}, or a cell of
+    {!Rel.cols}) and a {!Rel.t} are valid until the next {!remove},
+    which renumbers the interner and rebuilds the relations it touches.
+    Nothing outside this module keeps either across calls: compiled
+    plans resolve relations and constant ids per enumeration
+    ({!Plan.source_of_cinstance}). *)
 
 type t
 
@@ -40,7 +47,7 @@ val create : ?size_hint:int -> unit -> t
 val of_instance : Instance.t -> t
 
 (** [add c a] inserts [a]; returns [true] when the atom is new.
-    The only mutating operation.  The first [add] to a bulk-loaded
+    The first [add] to a bulk-loaded
     relation first hashes its loaded rows into the relation's dedup
     table (emitting [cinstance.rowset.build] and
     [cinstance.rowset.rows]). *)
@@ -68,12 +75,31 @@ val pos_term_count : t -> string -> int -> Term.t -> int
 val iter : (Atom.t -> unit) -> t -> unit
 
 (** Persistent image of the current contents; amortized O(atoms added
-    since the previous snapshot), exactly as {!Minstance.snapshot}. *)
+    since the previous snapshot), exactly as {!Minstance.snapshot}.
+    The first snapshot after a {!remove} builds the image afresh from
+    the rows. *)
 val snapshot : t -> Instance.t
 
-(** The contents minus the atoms of [gone], built without folding those
-    in, exactly as {!Minstance.snapshot_without}. *)
-val snapshot_without : t -> Atom.t list -> Instance.t
+(** [remove c atoms] deletes the atoms of [atoms] the store holds (the
+    others are ignored), compacting in place:
+    - the surviving rows of each touched relation slide down in their
+      order, and a relation left empty is dropped;
+    - the interner keeps only the terms surviving rows use, renumbered
+      in their old order ({!Term_interner.compact}: no term is hashed);
+      every cell is renamed;
+    - a touched relation, and any relation with a hash tier or a dedup
+      table whose cells the renaming changed, gets the state a bulk
+      load leaves: its base tier rebuilt over all its rows, an empty
+      hash tier and no dedup table.  Any other relation keeps its base
+      tier: the renaming keeps id order.
+    The persistent image is dropped, and adds stop queueing atoms for
+    it, until the next {!snapshot} rebuilds it.  Nothing is copied out
+    of the store: the scratch is a mark per row of each touched
+    relation and a renaming over the interned terms, and rebuilt tiers
+    are sized as a bulk load sizes them.  Columns keep their capacity.
+    Counts [cinstance.compact.rows] (rows removed) and
+    [cinstance.compact.terms] (terms dropped from the interner). *)
+val remove : t -> Atom.t list -> unit
 
 (** {1 Low-level columnar access}
 

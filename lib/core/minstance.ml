@@ -35,7 +35,9 @@ type t = {
   by_pred : (string, bucket) Hashtbl.t;
   by_term : bucket TpTbl.t;
   mutable size : int;
-  mutable snap : Instance.t;  (* persistent image of all but [pending] *)
+  mutable snap : Instance.t option;
+      (* persistent image of all but [pending]; [None] after a [remove],
+         until [snapshot] rebuilds it *)
   mutable pending : Atom.t list;  (* added since [snap], newest first *)
 }
 
@@ -45,7 +47,7 @@ let create ?(size_hint = 64) () =
     by_pred = Hashtbl.create 16;
     by_term = TpTbl.create size_hint;
     size = 0;
-    snap = Instance.empty;
+    snap = Some Instance.empty;
     pending = [];
   }
 
@@ -84,7 +86,7 @@ let add m a =
   else begin
     Obs.incr "minstance.add";
     insert m a;
-    m.pending <- a :: m.pending;
+    if Option.is_some m.snap then m.pending <- a :: m.pending;
     true
   end
 
@@ -96,7 +98,7 @@ let of_instance i =
   let m = create ~size_hint:(max 64 (2 * n)) () in
   Instance.iter (insert m) i;
   Obs.count "minstance.add" n;
-  m.snap <- i;
+  m.snap <- Some i;
   m
 
 let with_pred m p =
@@ -114,27 +116,53 @@ let pos_term_count m p k t =
 let iter f m = Hashtbl.iter (fun _ b -> List.iter f b.atoms) m.by_pred
 
 let snapshot m =
-  match m.pending with
-  | [] -> m.snap
-  | pending ->
+  match (m.snap, m.pending) with
+  | Some snap, [] -> snap
+  | Some snap, pending ->
       (* [pending] is newest first; insertion order does not matter for a
          set, so fold directly. *)
       Obs.count "minstance.snapshot.folds" (List.length pending);
-      let snap = List.fold_left (fun i a -> Instance.add a i) m.snap pending in
-      m.snap <- snap;
+      let snap = List.fold_left (fun i a -> Instance.add a i) snap pending in
+      m.snap <- Some snap;
       m.pending <- [];
       snap
+  | None, _ ->
+      Obs.count "minstance.snapshot.folds" m.size;
+      let snap = ref Instance.empty in
+      iter (fun a -> snap := Instance.add a !snap) m;
+      m.snap <- Some !snap;
+      !snap
 
-(* The atoms of [gone] are dropped from the last folded image, and the
-   pending atoms are folded in only when they survive: atoms that are
-   about to be deleted never enter the persistent structure. *)
-let snapshot_without m gone =
-  let kept = List.fold_left (fun i a -> Instance.remove a i) m.snap gone in
-  match m.pending with
-  | [] -> kept
-  | pending ->
-      let doomed = AtomTbl.create 64 in
-      List.iter (fun a -> AtomTbl.replace doomed a ()) gone;
-      let survivors = List.filter (fun a -> not (AtomTbl.mem doomed a)) pending in
-      if survivors <> [] then Obs.count "minstance.snapshot.folds" (List.length survivors);
-      List.fold_left (fun i a -> Instance.add a i) kept survivors
+(* Unlink the members first, then filter each touched bucket once by
+   membership, so removing k atoms from one bucket is one pass over it,
+   not k.  Buckets keep their newest-first order; emptied ones go. *)
+let remove m atoms =
+  let preds = Hashtbl.create 8 and keys = TpTbl.create 16 in
+  List.iter
+    (fun a ->
+      if AtomTbl.mem m.members a then begin
+        AtomTbl.remove m.members a;
+        m.size <- m.size - 1;
+        Obs.incr "minstance.remove";
+        let p = Atom.pred a in
+        Hashtbl.replace preds p ();
+        for k = 0 to Atom.arity a - 1 do
+          TpTbl.replace keys (p, k, Atom.arg a k) ()
+        done
+      end)
+    atoms;
+  if Hashtbl.length preds > 0 then begin
+    let live b =
+      b.atoms <- List.filter (AtomTbl.mem m.members) b.atoms;
+      b.count <- List.length b.atoms;
+      b.count > 0
+    in
+    Hashtbl.iter
+      (fun p () -> if not (live (Hashtbl.find m.by_pred p)) then Hashtbl.remove m.by_pred p)
+      preds;
+    TpTbl.iter
+      (fun key () -> if not (live (TpTbl.find m.by_term key)) then TpTbl.remove m.by_term key)
+      keys;
+    m.snap <- None;
+    m.pending <- []
+  end

@@ -1,10 +1,10 @@
 (** Mutable, Hashtbl-backed instances — the chase engines' hot-path
     backend.  Same logical contents and secondary [(pred, pos, term)]
     index as {!Instance}, but with O(1) amortized updates and lookups,
-    plus an incrementally maintained persistent snapshot: every atom is
-    folded into the persistent image at most once over the lifetime of
-    the value, so taking a snapshot after each chase step costs no more
-    in total than building the persistent instance directly — and costs
+    plus an incrementally maintained persistent snapshot: between
+    removals every atom is folded into the persistent image at most
+    once, so taking a snapshot after each chase step costs no more in
+    total than building the persistent instance directly — and costs
     nothing at all if no snapshot is ever requested. *)
 
 type t
@@ -35,12 +35,14 @@ val pos_term_count : t -> string -> int -> Term.t -> int
 val iter : (Atom.t -> unit) -> t -> unit
 
 (** Persistent image of the current contents.  Amortized O(atoms added
-    since the previous snapshot). *)
+    since the previous snapshot); the first snapshot after a {!remove}
+    builds the image afresh. *)
 val snapshot : t -> Instance.t
 
-(** [snapshot_without m gone]: persistent image of the contents minus
-    the atoms of [gone], built without folding those in — the previous
-    snapshot minus the [gone] atoms it holds, plus the atoms added since
-    that are not in [gone].  O(|gone| + atoms added since the previous
-    snapshot); [m] and its own image are unchanged. *)
-val snapshot_without : t -> Atom.t list -> Instance.t
+(** [remove m atoms] deletes the atoms of [atoms] the store holds (the
+    others are ignored) from the membership table and the indexes:
+    one pass over each touched index bucket, whose order is kept.  The
+    persistent image is dropped, and adds stop queueing atoms for it,
+    until the next {!snapshot} rebuilds it.  Counts [minstance.remove]
+    per deleted atom. *)
+val remove : t -> Atom.t list -> unit

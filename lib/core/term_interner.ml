@@ -96,3 +96,37 @@ let term_of t id =
   t.terms.(id)
 
 let cardinal t = t.n
+
+(* Keep the marked terms under dense ids in their old order, and
+   re-place their slots from the packed hashes, as [rehash] does, into a
+   table sized for what is left. *)
+let compact t live =
+  let remap = Array.make t.n (-1) in
+  let n = ref 0 in
+  for id = 0 to t.n - 1 do
+    if Bytes.get live id <> '\000' then begin
+      remap.(id) <- !n;
+      t.terms.(!n) <- t.terms.(id);
+      incr n
+    end
+  done;
+  Array.fill t.terms !n (t.n - !n) dummy;
+  let slots = Array.make (slots_for (max 1 !n)) (-1) in
+  let mask = Array.length slots - 1 in
+  Array.iter
+    (fun s ->
+      if s >= 0 then begin
+        let id = remap.(s land id_mask) in
+        if id >= 0 then begin
+          let h = s lsr id_bits in
+          let j = ref (h land mask) in
+          while slots.(!j) >= 0 do
+            j := (!j + 1) land mask
+          done;
+          slots.(!j) <- (h lsl id_bits) lor id
+        end
+      end)
+    t.slots;
+  t.slots <- slots;
+  t.n <- !n;
+  remap

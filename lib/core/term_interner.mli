@@ -7,8 +7,10 @@
     null-renaming homomorphism checks keep working on the original
     terms via {!term_of}.
 
-    Ids are assigned in first-intern order starting at 0 and are never
-    reused, so they are stable for the lifetime of the interner.
+    Ids are assigned in first-intern order starting at 0.  An id lives
+    until the next {!compact}, which renumbers the surviving terms
+    densely (keeping their order) and drops the rest; between
+    compactions ids are never reused.
 
     The forward table is a flat open-addressing [int array], probed
     linearly from the term's hash.  Each slot packs the hash beside the
@@ -43,3 +45,14 @@ val term_of : t -> int -> Term.t
 
 (** Number of interned terms (= the next fresh id). *)
 val cardinal : t -> int
+
+(** [compact t live] keeps the terms whose id [live] marks (a nonzero
+    byte at that index; [live] covers ids below {!cardinal}), renumbers
+    them densely in their old order, and returns the renaming: the new
+    id of each old id, or [-1] for a dropped one.  Since the order is
+    kept, the renaming is monotone.  Slots are re-placed from the hashes
+    packed in them, so no term is hashed, and the slot table shrinks to
+    fit the survivors.  Every id handed out before the call is stale
+    afterwards: translate it through the returned array or look the
+    term up again. *)
+val compact : t -> Bytes.t -> int array

@@ -98,13 +98,17 @@ let satisfied_by instance t =
 
 let satisfied_by_all instance ts = List.for_all (satisfied_by instance) ts
 
+(* Triggers of one TGD share the TGD value, so the physical test
+   settles most compares without walking the atoms. *)
 let compare a b =
-  let c = String.compare a.name b.name in
-  if c <> 0 then c
+  if a == b then 0
   else
-    let catoms xs ys = List.compare Atom.compare xs ys in
-    let c = catoms a.body b.body in
-    if c <> 0 then c else catoms a.head b.head
+    let c = String.compare a.name b.name in
+    if c <> 0 then c
+    else
+      let catoms xs ys = List.compare Atom.compare xs ys in
+      let c = catoms a.body b.body in
+      if c <> 0 then c else catoms a.head b.head
 
 let equal a b = compare a b = 0
 

@@ -58,7 +58,7 @@ type t = {
   backend : Store.backend;
   plans : (Tgd.t * Plan.t) list;
   mutable base : Instance.t;  (* accumulated asserted facts *)
-  mutable store : Store.t;
+  store : Store.t;
   mutable memo : Plan.Head_memo.t;
   mutable pool : Restricted.Pool.t;
   mutable saturated : bool;
@@ -84,7 +84,7 @@ let seed_pool t =
     t.plans;
   Restricted.Pool.push_batch t.pool !batch
 
-let create ?(strategy = Restricted.Fifo) ?(backend = `Compiled) tgds database =
+let create ?(strategy = Restricted.Fifo) ?(backend = `Columnar) tgds database =
   let t =
     {
       tgds;
@@ -196,15 +196,14 @@ let over_delete t retracted =
   t.log_len <- !kept;
   gone
 
-(* Replay: reload the store from the survivors (the deleted atoms
-   never folded into a persistent image), keep the pending
-   triggers whose body survived in a fresh pool (the old pool's dedup
-   set remembers every trigger it ever saw, and would drop the ones a
-   later assert rediscovers), and push every trigger a deleted atom may
-   have witnessed the head of. *)
+(* Replay: remove the deleted atoms from the store in place, keep the
+   pending triggers whose body survived in a fresh pool (the old pool's
+   dedup set remembers every trigger it ever saw, and would drop the
+   ones a later assert rediscovers), and push every trigger a deleted
+   atom may have witnessed the head of. *)
 let replay t gone =
   let deleted = List.sort Atom.compare (AtomTbl.fold (fun a () acc -> a :: acc) gone []) in
-  t.store <- Store.of_instance t.backend (t.store.Store.snapshot_without deleted);
+  t.store.Store.remove deleted;
   let pending = ref [] in
   Restricted.Pool.iter t.pool (fun trigger ->
       if not (List.exists (AtomTbl.mem gone) (body_of trigger)) then

@@ -46,16 +46,16 @@
     the pool is fresh (its dedup set would drop triggers a later assert
     rediscovers).  The next chase therefore saturates to a model in
     which every atom is derivable from the surviving base: a universal
-    model, hom-equivalent to a from-scratch chase of it.  The survivors
-    are built by the store's [snapshot_without], so an atom the
-    retraction deletes is never folded into a persistent image.  The
-    fuzz oracle's [incremental-equivalence] profile retracts every
-    other batch after saturation, then the rest, base facts a step also
-    derives, every other batch of a session that never took a snapshot,
-    and facts of a budget-stopped session, on both stores and on
-    multi-head variants of the drawn sets.  The log holds at most
-    one entry per atom of the instance: an active trigger always adds
-    one. *)
+    model, hom-equivalent to a from-scratch chase of it.  The deleted
+    atoms leave the store in place ([Store.remove]), in sorted order,
+    so the store, its plan source and the survivors' rows carry over;
+    no store is reloaded.  The fuzz oracle's [incremental-equivalence]
+    profile retracts every other batch after saturation, then the rest,
+    base facts a step also derives, every other batch of a session that
+    never took a snapshot, and facts of a budget-stopped session, on
+    both stores and on multi-head variants of the drawn sets.  The log
+    holds at most one entry per atom of the instance: an active trigger
+    always adds one. *)
 
 open Chase_core
 
@@ -79,7 +79,7 @@ type t
 
 (** A fresh state over the TGD set and initial database; the frontier
     is seeded with every trigger of the database.  [backend] (default
-    [`Compiled]) picks the mutable store the session chases over —
+    [`Columnar]) picks the mutable store the session chases over —
     hash-indexed {!Chase_core.Minstance} or the interned columnar
     {!Chase_core.Cinstance}; the derivation is bit-identical either
     way. *)
@@ -105,8 +105,8 @@ val instance : t -> Instance.t
 val mem : t -> Atom.t -> bool
 
 (** The live store as a plan source — what queries over the current
-    chase result run against.  A retraction replaces the store, so take
-    the source afresh per use. *)
+    chase result run against.  The session keeps one store for its
+    lifetime; a retraction compacts it in place. *)
 val source : t -> Plan.source
 
 val cardinal : t -> int
@@ -133,9 +133,9 @@ val assert_atoms : t -> Atom.t list -> int
 
 (** [retract_atoms t atoms] removes the given facts from the base (the
     intersection; returns its size).  When nonempty, the atoms no
-    surviving step derives are deleted, the store is reloaded from the
-    rest, and the triggers a deleted atom may have satisfied are
-    re-seeded, so the next chase replays only that delta.  Counts
+    surviving step derives are deleted from the store in place, and the
+    triggers a deleted atom may have satisfied are re-seeded, so the
+    next chase replays only that delta.  Counts
     [session.retract.deleted] and [session.retract.reseeded]. *)
 val retract_atoms : t -> Atom.t list -> int
 

@@ -235,6 +235,10 @@ let of_tgd tgd =
 
 let cached () = TgdMap.cardinal !cache
 
+let scoped f =
+  let saved = !cache in
+  Fun.protect ~finally:(fun () -> cache := saved) f
+
 (* ------------------------------------------------------------------ *)
 (* Sources                                                             *)
 (* ------------------------------------------------------------------ *)

@@ -44,6 +44,14 @@ val of_tgd : Tgd.t -> t
 (** Number of plans the {!of_tgd} cache holds. *)
 val cached : unit -> int
 
+(** [scoped f] runs [f], then restores the {!of_tgd} cache to what it
+    held before, dropping the plans [f] cached — for long-lived callers
+    running library code that compiles through {!of_tgd} (the deciders,
+    [Restricted.run]) on TGDs they may never see again.  A plan [f]
+    obtained stays valid.  Plans other domains cache while [f] runs are
+    dropped too, so scope only work that owns the process meanwhile. *)
+val scoped : (unit -> 'a) -> 'a
+
 val tgd : t -> Tgd.t
 
 (** {1 Data sources} *)

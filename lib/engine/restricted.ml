@@ -67,11 +67,14 @@ module Pool = struct
       f pool.arr.(i)
     done
 
+  (* [replace] hashes [t] once and grows the set only when [t] is new,
+     so the size tells a push from a duplicate without a second hash. *)
   let push pool t =
-    if TrigTbl.mem pool.seen t then Obs.incr "restricted.pool.dup"
+    let before = TrigTbl.length pool.seen in
+    TrigTbl.replace pool.seen t ();
+    if TrigTbl.length pool.seen = before then Obs.incr "restricted.pool.dup"
     else begin
       Obs.incr "restricted.pool.push";
-      TrigTbl.add pool.seen t ();
       let cap = Array.length pool.arr in
       if pool.len = cap then begin
         (* grow, seeding the new array with [t] so no dummy is needed *)

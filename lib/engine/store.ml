@@ -8,7 +8,7 @@ type t = {
   mem : Atom.t -> bool;
   cardinal : unit -> int;
   snapshot : unit -> Instance.t;
-  snapshot_without : Atom.t list -> Instance.t;
+  remove : Atom.t list -> unit;
   source : Plan.source;
 }
 
@@ -19,7 +19,7 @@ let of_minstance m =
     mem = (fun a -> Minstance.mem m a);
     cardinal = (fun () -> Minstance.cardinal m);
     snapshot = (fun () -> Minstance.snapshot m);
-    snapshot_without = Minstance.snapshot_without m;
+    remove = Minstance.remove m;
     source = Plan.source_of_minstance m;
   }
 
@@ -30,7 +30,7 @@ let of_cinstance c =
     mem = (fun a -> Cinstance.mem c a);
     cardinal = (fun () -> Cinstance.cardinal c);
     snapshot = (fun () -> Cinstance.snapshot c);
-    snapshot_without = Cinstance.snapshot_without c;
+    remove = Cinstance.remove c;
     source = Plan.source_of_cinstance c;
   }
 

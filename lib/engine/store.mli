@@ -17,9 +17,9 @@ type t = {
   mem : Atom.t -> bool;
   cardinal : unit -> int;
   snapshot : unit -> Instance.t;
-  snapshot_without : Atom.t list -> Instance.t;
-      (** the contents minus the given atoms, which are never folded
-          into the persistent image *)
+  remove : Atom.t list -> unit;
+      (** delete the given atoms in place; the persistent image is
+          rebuilt by the next [snapshot] *)
   source : Plan.source;  (** what compiled plans probe *)
 }
 

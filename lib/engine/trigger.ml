@@ -23,10 +23,12 @@ let compare a b =
 let equal a b = compare a b = 0
 
 (* Structural hash compatible with [equal]; the TGD contributes only its
-   name (TGD sets in a run are tiny — collisions there are harmless). *)
+   name (TGD sets in a run are tiny — collisions there are harmless).
+   Only the bound terms are hashed: equal triggers bind the same
+   variables, and [fold] visits them in variable order. *)
 let hash t =
   Substitution.fold
-    (fun v u acc -> (((acc * 65599) + Term.hash v) * 31) + Term.hash u)
+    (fun _ u acc -> (acc * 65599) + Term.hash u)
     t.hom
     (Hashtbl.hash (Tgd.name t.tgd))
   land max_int

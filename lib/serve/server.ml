@@ -20,7 +20,7 @@ type config = {
 }
 
 let default_config =
-  { max_sessions = 64; defaults = Session.default_budgets; backend = `Compiled }
+  { max_sessions = 64; defaults = Session.default_budgets; backend = `Columnar }
 
 let max_line_bytes = 16 * 1024 * 1024
 
@@ -227,9 +227,12 @@ let handle_decide t ~session ~portfolio ~max_states ~max_depth =
   let report =
     Session.with_obs s (fun () ->
         let tgds = Chase_engine.Incremental.tgds (Session.incremental s) in
-        (* Budget overruns surface as Unknown answers (the deciders
-           return Inconclusive / No_divergence_found), never as
-           exceptions escaping the session. *)
+        (* The deciders compile through [Plan.of_tgd]; scoping keeps
+           their plans out of the process-wide cache.  Budget overruns
+           surface as Unknown answers (the deciders return
+           Inconclusive / No_divergence_found), never as exceptions
+           escaping the session. *)
+        Chase_engine.Plan.scoped @@ fun () ->
         if portfolio then
           decide_portfolio ?sticky_max_states:max_states ?guarded_max_depth:max_depth
             ~pool:t.epool tgds

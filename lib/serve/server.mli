@@ -9,7 +9,8 @@ type config = {
   defaults : Session.budgets;  (** for sessions without overrides *)
   backend : Chase_engine.Store.backend;
       (** store backend for sessions whose [load-program] has no
-          ["backend"] field — the CLI's [--backend] *)
+          ["backend"] field — the CLI's [--backend]; [`Columnar] in
+          {!default_config} *)
 }
 
 val default_config : config

@@ -35,7 +35,7 @@ type t = {
   mutable last_chase : chase_record option;
 }
 
-let create ~name ~budgets ?(backend = `Compiled) tgds database =
+let create ~name ~budgets ?(backend = `Columnar) tgds database =
   {
     name;
     budgets;

@@ -27,7 +27,7 @@ type chase_record = {
 
 type t
 
-(** [backend] (default [`Compiled]) picks the session's mutable fact
+(** [backend] (default [`Columnar]) picks the session's mutable fact
     store — see {!Chase_engine.Store.backend}. *)
 val create :
   name:string ->

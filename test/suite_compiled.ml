@@ -223,4 +223,143 @@ let properties =
              [ Oblivious.Oblivious; Oblivious.Semi_oblivious ]));
   ]
 
-let suite = [ ("compiled-engine-equivalence", properties) ]
+(* In-place removal ([Store.remove]) against [Instance] under the same
+   operations: a bulk load, adds (the hash tier), a removal mixing
+   base-tier rows, hash-tier rows, a whole relation and absent atoms,
+   re-adds, and a second removal.  After each step the store must agree
+   with the reference on every read the engines make. *)
+type view = {
+  store : Store.t;
+  with_pred : string -> Atom.t list;
+  with_pos_term : string -> int -> Term.t -> Atom.t list;
+  pos_term_count : string -> int -> Term.t -> int;
+  invariant : Instance.t -> bool;  (* store-specific, given the reference *)
+}
+
+let minstance_view db =
+  let m = Minstance.of_instance db in
+  {
+    store = Store.of_minstance m;
+    with_pred = Minstance.with_pred m;
+    with_pos_term = Minstance.with_pos_term m;
+    pos_term_count = Minstance.pos_term_count m;
+    invariant = (fun _ -> true);
+  }
+
+(* The interner holds exactly the terms of the surviving rows, and ids
+   and terms round-trip. *)
+let cinstance_view db =
+  let c = Cinstance.of_instance db in
+  let it = Cinstance.interner c in
+  {
+    store = Store.of_cinstance c;
+    with_pred = Cinstance.with_pred c;
+    with_pos_term = Cinstance.with_pos_term c;
+    pos_term_count = Cinstance.pos_term_count c;
+    invariant =
+      (fun reference ->
+        let terms = Instance.active_domain reference in
+        Term_interner.cardinal it = Term.Set.cardinal terms
+        && Term.Set.for_all
+             (fun t ->
+               let id = Term_interner.find it t in
+               id >= 0 && Term.equal (Term_interner.term_of it id) t)
+             terms
+        && List.for_all
+             (fun id -> Term_interner.find it (Term_interner.term_of it id) = id)
+             (List.init (Term_interner.cardinal it) Fun.id));
+  }
+
+let homs p src =
+  let acc = ref [] in
+  Plan.iter_homs p src (fun h -> acc := Trigger.make (Plan.tgd p) h :: !acc);
+  List.sort Trigger.compare !acc
+
+let agrees v plans probes ~snapshot reference =
+  let s = v.store in
+  let set = Atom.Set.of_list in
+  let terms = Instance.active_domain (List.fold_right Instance.add probes reference) in
+  s.Store.cardinal () = Instance.cardinal reference
+  && Instance.for_all s.Store.mem reference
+  && List.for_all (fun a -> s.Store.mem a = Instance.mem a reference) probes
+  && List.for_all
+       (fun (p, arity) ->
+         let preds = v.with_pred p in
+         Atom.Set.equal (set preds) (Instance.with_pred_set reference p)
+         && List.length preds = Instance.pred_count reference p
+         && List.for_all
+              (fun pos ->
+                Term.Set.for_all
+                  (fun t ->
+                    let ixd = v.with_pos_term p pos t in
+                    let expect = Instance.with_pred_pos_term reference p pos t in
+                    Atom.Set.equal (set ixd) expect
+                    && List.length ixd = Atom.Set.cardinal expect
+                    && v.pos_term_count p pos t = Atom.Set.cardinal expect)
+                  terms)
+              (List.init arity Fun.id))
+       Tgen.schema_preds
+  && List.for_all
+       (fun p ->
+         List.equal Trigger.equal
+           (homs p (Plan.source_of_instance reference))
+           (homs p s.Store.source))
+       plans
+  && ((not snapshot) || Instance.equal (s.Store.snapshot ()) reference)
+  && v.invariant reference
+
+(* [picks] selects from [xs] (cycled), so a removal draws from whatever
+   the store holds at that point. *)
+let pick picks xs = List.filteri (fun i _ -> List.nth picks (i mod List.length picks)) xs
+
+let removal_gen =
+  let open QCheck2.Gen in
+  let* db = Tgen.instance_gen in
+  let* tgds = tgds_gen in
+  let* adds = list_size (int_range 0 8) Tgen.ground_atom_gen in
+  let* picks1 = list_repeat 7 bool in
+  let* wipe = oneofl (List.map fst Tgen.schema_preds) in
+  let* ghosts = list_size (int_range 0 3) Tgen.ground_atom_gen in
+  let* fresh = list_size (int_range 0 4) Tgen.ground_atom_gen in
+  let* picks2 = list_repeat 5 bool in
+  let* snaps = list_repeat 5 bool in
+  let* probes = list_size (int_range 0 6) Tgen.ground_atom_gen in
+  return (db, tgds, adds, (picks1, wipe, ghosts), fresh, picks2, snaps, probes)
+
+let removal_property (name, view) =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~name:("in-place removal mirrors Instance (" ^ name ^ ")") ~count:300
+       removal_gen
+       (fun (db, tgds, adds, (picks1, wipe, ghosts), fresh, picks2, snaps, probes) ->
+         let v = view db in
+         let plans = List.map Plan.compile tgds in
+         let check i reference = agrees v plans probes ~snapshot:(List.nth snaps i) reference in
+         let add reference atoms =
+           List.fold_left
+             (fun (i, ok) a ->
+               (Instance.add a i, ok && v.store.Store.add a = not (Instance.mem a i)))
+             (reference, true) atoms
+         in
+         let remove reference atoms =
+           v.store.Store.remove atoms;
+           List.fold_left (fun i a -> Instance.remove a i) reference atoms
+         in
+         let ok0 = check 0 db in
+         let r1, added_ok = add db adds in
+         let ok1 = check 1 r1 in
+         let gone1 = pick picks1 (Instance.to_list r1) @ Instance.with_pred r1 wipe @ ghosts in
+         let r2 = remove r1 gone1 in
+         let ok2 = check 2 r2 in
+         let r3, readded_ok = add r2 (pick picks2 gone1 @ fresh) in
+         let ok3 = check 3 r3 in
+         let r4 = remove r3 (pick picks2 (Instance.to_list r3)) in
+         ok0 && added_ok && ok1 && ok2 && readded_ok && ok3 && check 4 r4
+         && Instance.equal (v.store.Store.snapshot ()) r4))
+
+let suite =
+  [
+    ( "compiled-engine-equivalence",
+      properties
+      @ List.map removal_property [ ("minstance", minstance_view); ("cinstance", cinstance_view) ]
+    );
+  ]

@@ -209,6 +209,21 @@ let retract_tests =
     Alcotest.(check bool) "replays steps" true (chase_steps s > 0);
     matches_scratch s tgds
   in
+  (* the store is compacted in place: no span of the retract loads one *)
+  let no_reload backend () =
+    let tgds, db = program "e(X,Y) -> r(X,Y).\nr(X,Y), e(Y,Z) -> r(X,Z).\ne(a,b). e(b,c)." in
+    let s = Incremental.create ~backend tgds db in
+    ignore (chase_steps s);
+    let st = Obs.Stats.create () in
+    Obs.with_sink (Obs.Stats.sink st) (fun () ->
+        Alcotest.(check int) "removed" 1 (Incremental.retract_atoms s [ atom "e(a,b)" ]));
+    Alcotest.(check (list string)) "spans" [ "session.retract" ]
+      (List.map fst (Obs.Stats.spans st));
+    Alcotest.(check int) "e(a,b), r(a,b), r(a,c) deleted" 3
+      (Obs.Stats.counter st "session.retract.deleted");
+    ignore (chase_steps s);
+    matches_scratch s tgds
+  in
   List.concat_map
     (fun backend ->
       let b = Backend.name (backend :> Backend.t) in
@@ -221,5 +236,11 @@ let retract_tests =
           `Quick (reassert backend);
       ])
     [ `Compiled; `Columnar ]
+  @ List.map
+      (fun backend ->
+        Alcotest.test_case
+          ("retract opens no store.load span (" ^ Backend.name (backend :> Backend.t) ^ ")")
+          `Quick (no_reload backend))
+      [ `Compiled; `Columnar ]
 
 let suite = [ ("engine", unit_tests @ property_tests @ retract_tests) ]

@@ -381,6 +381,25 @@ let test_sessions_keep_no_plans () =
   done;
   Alcotest.(check int) "plan cache unchanged" before (Plan.cached ())
 
+(* The deciders compile through [Plan.of_tgd]; a serve decide scopes
+   them, so deciding fresh guarded programs leaves the cache as it
+   found it. *)
+let test_decide_keeps_no_plans () =
+  let srv = server () in
+  let before = Plan.cached () in
+  for i = 1 to 2 do
+    let session = Printf.sprintf "guarded%d" i in
+    let r = Printf.sprintf "g%d" i and s = Printf.sprintf "h%d" i in
+    check_ok
+      (load ~session srv
+         (Printf.sprintf "%s(X,Y), %s(Y) -> exists Z. %s(Y,Z). %s(X,Y) -> %s(Y). %s(a,b)." r s r r s r));
+    let d = op ~session srv "decide" in
+    check_ok d;
+    Alcotest.(check string) "the guarded search decides" "guarded-search" (get_str d [ "method" ]);
+    check_ok (op ~session srv "close");
+    Alcotest.(check int) "plan cache unchanged" before (Plan.cached ())
+  done
+
 (* --- decide op -------------------------------------------------------- *)
 
 let test_decide_op () =
@@ -544,5 +563,7 @@ let suite =
         Alcotest.test_case "SERVICE.md covers every op and error code" `Quick
           test_service_doc_complete;
         incremental_equivalence;
+        Alcotest.test_case "decide keeps no plans in the global cache" `Quick
+          test_decide_keeps_no_plans;
       ] );
   ]
