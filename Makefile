@@ -9,13 +9,12 @@ test:
 bench:
 	dune exec bench/main.exe
 
-# Small-size engine benchmarks (E11, the E12 scaling sweep, the E14
-# columnar-vs-compiled A/B at ≈100k facts and the E15 portfolio-vs-fixed
-# decider race), writes BENCH_results.json.
+# Small-size engine benchmarks (E11, the E12 scaling sweep and the E15
+# portfolio-vs-fixed decider race), writes BENCH_results.json.
 # JOBS caps the E12 domain sweep, e.g. `make bench-smoke JOBS=2`.
 JOBS ?= 1
 bench-smoke:
-	dune exec bench/main.exe -- --json --smoke --jobs $(JOBS) E11 E12 E14 E15
+	dune exec bench/main.exe -- --json --smoke --jobs $(JOBS) E11 E12 E15
 
 # Differential fuzzing across the engine matrix (DESIGN.md §8); exits
 # nonzero with a shrunk repro on any cross-engine discrepancy, e.g.
@@ -27,8 +26,9 @@ fuzz:
 # Golden-transcript conversation through `chasectl serve` over stdio
 # (docs/SERVICE.md).  wall_ms is the only nondeterministic reply field;
 # normalize it before diffing.  The script runs twice: on the default
-# store backend, and with `--backend compiled` diffed against the same
-# transcript with the "backend" field normalized on both sides.
+# store backend, and with `--backend compiled` (an alias of the one
+# columnar store, echoed as given) diffed against the same transcript
+# with the "backend" field normalized on both sides.
 WALL_MS = sed -E 's/"wall_ms": *[0-9.eE+-]+/"wall_ms": 0/g'
 NO_BACKEND = sed -E 's/"backend": *"[a-z]+"/"backend": "-"/g'
 serve-smoke:

@@ -55,15 +55,6 @@ let with_gc_delta f =
       major_collections = g1.Gc.major_collections - g0.Gc.major_collections;
     } )
 
-(* [once_ns] that also hands back the run's result and GC delta — for
-   one-shot A/B rows where the allocation multiple is the headline. *)
-let once_gc fn =
-  Obs.suspended @@ fun () ->
-  let t0 = Unix.gettimeofday () in
-  let r, gc = with_gc_delta fn in
-  let t1 = Unix.gettimeofday () in
-  (r, (t1 -. t0) *. 1e9, gc)
-
 (* Minimal fixed-width table printer. *)
 let table ~title ~header rows =
   let ncols = List.length header in

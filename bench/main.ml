@@ -1,5 +1,5 @@
 (* The benchmark harness: regenerates every experiment of EXPERIMENTS.md
-   (E1–E12, E14).  The paper is a theory paper with no measured tables; these
+   (E1–E12, E15).  The paper is a theory paper with no measured tables; these
    experiments check its qualitative claims and measure the implemented
    systems.  Run with
 
@@ -24,8 +24,8 @@ let max_jobs = ref 0
 
 let e12_max_jobs () = if !max_jobs > 0 then !max_jobs else if !smoke then 2 else 8
 
-(* Bit-identical derivations: the cross-check E12 and E14 assert before
-   timing anything — the A/B rows below compare equal work or nothing. *)
+(* Bit-identical derivations: the cross-check E12 asserts before timing
+   anything — its rows compare equal work or nothing. *)
 let same_derivation d1 d2 =
   Derivation.status d1 = Derivation.status d2
   && List.length (Derivation.steps d1) = List.length (Derivation.steps d2)
@@ -671,8 +671,8 @@ let e10 () =
 (* E11: compiled join plans + mutable instance vs the naive engine.     *)
 (* The two Restricted backends produce identical derivations (property- *)
 (* tested), so the ratio below is pure engine throughput: compiled      *)
-(* plans over the Hashtbl-backed Minstance against the generic          *)
-(* homomorphism search over the persistent Instance.                    *)
+(* plans over the columnar Cinstance against the generic homomorphism   *)
+(* search over the persistent Instance.                                 *)
 (* ------------------------------------------------------------------ *)
 
 let e11 () =
@@ -896,116 +896,6 @@ let e12 () =
     (chase_rows @ sticky_rows)
 
 (* ------------------------------------------------------------------ *)
-(* E14: the columnar interned store vs the hash-indexed Minstance at    *)
-(* 10M facts (≈100k under --smoke).  One skewed-hub scenario where the  *)
-(* database dwarfs the derivation: hub_propagation's chase runs exactly *)
-(* n existential-free steps over 3n+pad+1 facts, so the row measures    *)
-(* store traversal and probe cost, not trigger scheduling.  Both        *)
-(* backends are asserted bit-identical before timing (and columnar      *)
-(* again at jobs=2 against jobs=1), mirroring the lib/check oracle's    *)
-(* backend/jobs-agreement invariants at benchmark scale.  One-shot      *)
-(* timings: bechamel sampling would re-run a multi-second chase dozens  *)
-(* of times for no extra digit.  The headline is the pair (wall-time    *)
-(* multiple, allocation multiple) of compiled over columnar.            *)
-(* ------------------------------------------------------------------ *)
-
-let e14 () =
-  let n, pad = if !smoke then (2_000, 94_000) else (40_000, 9_880_000) in
-  let s = Chase_workload.St_mapping.hub_propagation ~n ~pad in
-  let tgds = s.Chase_workload.St_mapping.tgds in
-  let db = s.Chase_workload.St_mapping.database in
-  let facts = s.Chase_workload.St_mapping.facts in
-  let run ?pool backend () = Restricted.run ~backend ?pool ~max_steps:200_000 tgds db in
-  (* compact before each measured run: without it the second backend
-     pays major-GC slices marking and sweeping the first one's garbage,
-     which skews a one-shot A/B by tens of percent at 10M facts *)
-  Gc.compact ();
-  let d_comp, comp_ns, comp_gc = once_gc (run `Compiled) in
-  Gc.compact ();
-  let d_col, col_ns, col_gc = once_gc (run `Columnar) in
-  (* n-1 existential-free steps: r walks the cycle until the wrap-around
-     trigger's head r(v0) is already present, hence inactive. *)
-  assert (Derivation.terminated d_comp);
-  assert (Derivation.length d_comp = n - 1);
-  assert (same_derivation d_comp d_col);
-  (* jobs-agreement at scale: the parallel speculative activity scan
-     over the frozen columnar store must not change the derivation. *)
-  Chase_exec.Pool.with_pool ~jobs:2 (fun pool ->
-      assert (same_derivation d_col (run ~pool `Columnar ())));
-  (* the store load alone ([Store.of_instance]), timed apart from the
-     chase so a row's [ns] splits into load and chase *)
-  let load backend =
-    Gc.compact ();
-    once_ns (fun () -> Store.of_instance backend db)
-  in
-  let comp_load_ns = load `Compiled in
-  let col_load_ns = load `Columnar in
-  let steps = Derivation.length d_col in
-  let alloc d = d.Bench_util.minor_words +. d.Bench_util.promoted_words in
-  let wall_multiple = comp_ns /. col_ns in
-  let alloc_multiple = alloc comp_gc /. alloc col_gc in
-  List.iter
-    (fun (backend, ns, load_ns, gc) ->
-      record "E14"
-        ([
-           ("family", Str s.Chase_workload.St_mapping.name);
-           ("backend", Str backend);
-           ("facts", Int facts);
-           ("chase_steps", Int steps);
-           ("ns", Num ns);
-           ("load_ns", Num load_ns);
-           ("steps_per_s", Num (float_of_int steps /. (ns /. 1e9)));
-         ]
-        @ gc_fields gc))
-    [ ("compiled", comp_ns, comp_load_ns, comp_gc); ("columnar", col_ns, col_load_ns, col_gc) ];
-  record "E14"
-    [
-      ("family", Str s.Chase_workload.St_mapping.name);
-      ("backend", Str "compiled-over-columnar");
-      ("facts", Int facts);
-      ("wall_multiple", Num wall_multiple);
-      ("alloc_multiple", Num alloc_multiple);
-      ("bit_identical", Bool true);
-      ("jobs_checked", Int 2);
-    ];
-  table
-    ~title:
-      (Printf.sprintf
-         "E14  columnar interned store vs hash-indexed instance, %d facts (derivations \
-          bit-identical, columnar re-checked at jobs=2)"
-         facts)
-    ~header:[ "backend"; "steps"; "time"; "load alone"; "steps/s"; "alloc words"; "major GCs" ]
-    [
-      [
-        "compiled";
-        string_of_int steps;
-        pretty_ns comp_ns;
-        pretty_ns comp_load_ns;
-        Printf.sprintf "%.0f" (float_of_int steps /. (comp_ns /. 1e9));
-        Printf.sprintf "%.3g" (alloc comp_gc);
-        string_of_int comp_gc.Bench_util.major_collections;
-      ];
-      [
-        "columnar";
-        string_of_int steps;
-        pretty_ns col_ns;
-        pretty_ns col_load_ns;
-        Printf.sprintf "%.0f" (float_of_int steps /. (col_ns /. 1e9));
-        Printf.sprintf "%.3g" (alloc col_gc);
-        string_of_int col_gc.Bench_util.major_collections;
-      ];
-      [
-        "compiled/columnar";
-        "";
-        Printf.sprintf "%.2fx" wall_multiple;
-        Printf.sprintf "%.2fx" (comp_load_ns /. col_load_ns);
-        "";
-        Printf.sprintf "%.2fx" alloc_multiple;
-        "";
-      ];
-    ]
-
-(* ------------------------------------------------------------------ *)
 (* E15: the portfolio front-end vs fixed dispatch across the gallery:  *)
 (* which procedure wins per dispatch class, and what the race costs    *)
 (* (or saves) in wall time.  Sequential portfolio — the racers run in  *)
@@ -1090,8 +980,7 @@ let e15 () =
 let experiments =
   [
     ("E1", e1); ("E2", e2); ("E3", e3); ("E4", e4); ("E5", e5); ("E6", e6); ("E7", e7);
-    ("E8", e8); ("E9", e9); ("E10", e10); ("E11", e11); ("E12", e12); ("E14", e14);
-    ("E15", e15);
+    ("E8", e8); ("E9", e9); ("E10", e10); ("E11", e11); ("E12", e12); ("E15", e15);
   ]
 
 (* Each experiment runs under a stats sink so BENCH_results.json carries

@@ -106,9 +106,9 @@ let backend_arg =
     & opt backend_conv `Compiled
     & info [ "backend" ] ~docv:"B"
         ~doc:
-          "Matching backend: $(b,compiled) (hash-indexed, default), $(b,columnar) (interned \
-           int columns, for large databases) or $(b,naive) (generic search, the oracle).  \
-           All three produce bit-identical derivations.")
+          "Matching backend: $(b,compiled) (default) or its alias $(b,columnar) (compiled join \
+           plans over the interned columnar store), or $(b,naive) (generic search, the \
+           oracle).  Both produce bit-identical derivations.")
 
 (* --- parallelism ------------------------------------------------------ *)
 
@@ -458,16 +458,13 @@ let msol_cmd =
 (* --- fuzz ------------------------------------------------------------ *)
 
 let fuzz_cmd =
-  let run cases seed profiles backends portfolio jobs no_shrink corpus_dir json stats trace_json
-      =
+  let run cases seed profiles (_ : Chase_engine.Store.backend list) portfolio jobs no_shrink
+      corpus_dir json stats trace_json =
     let profiles =
       match profiles with
       | [] -> Chase_check.Profile.all
       | names ->
           List.map (fun n -> or_die (Chase_check.Profile.of_name n)) names
-    in
-    let backends =
-      match backends with [] -> Chase_check.Oracle.all_store_backends | bs -> bs
     in
     let config =
       {
@@ -477,7 +474,6 @@ let fuzz_cmd =
         jobs;
         shrink = not no_shrink;
         corpus_dir;
-        backends;
         portfolio;
       }
     in
@@ -524,8 +520,9 @@ let fuzz_cmd =
       & opt_all store_backend_conv []
       & info [ "backend" ] ~docv:"B"
           ~doc:
-            "Store backend to compare against the naive reference, repeatable: $(b,compiled) \
-             or $(b,columnar) (default: both).")
+            "Accepted for compatibility, repeatable: $(b,columnar) or its alias \
+             $(b,compiled).  Both name the one store, which the oracle always compares \
+             against the naive reference, so the value changes nothing.")
   in
   let no_shrink_arg =
     Arg.(value & flag & info [ "no-shrink" ] ~doc:"Report raw failing cases without delta-debugging.")
@@ -631,8 +628,9 @@ let serve_cmd =
       & info [ "backend" ] ~docv:"B"
           ~doc:
             "Default store backend for new sessions: $(b,columnar) (interned columns; a \
-             retract compacts the store in place) or $(b,compiled) (hash-indexed).  A \
-             $(b,load-program) request may override it per session with a \"backend\" field.")
+             retract compacts the store in place) or its alias $(b,compiled), which names \
+             the same store and is echoed as given.  A $(b,load-program) request may \
+             override it per session with a \"backend\" field.")
   in
   Cmd.v
     (Cmd.info "serve"

@@ -14,7 +14,6 @@ type config = {
   jobs : int;
   shrink : bool;
   corpus_dir : string option;
-  backends : Chase_engine.Store.backend list;
   portfolio : bool;  (* add the portfolio/pruning decider cross-exams *)
 }
 
@@ -26,7 +25,6 @@ let default_config =
     jobs = 1;
     shrink = true;
     corpus_dir = None;
-    backends = Oracle.all_store_backends;
     portfolio = false;
   }
 
@@ -68,7 +66,7 @@ let run_case ~pool ~config ~index profile =
           written = None;
         }
   | case -> (
-      match Oracle.check ~pool ~backends:config.backends ~portfolio:config.portfolio case.Gen.tgds case.Gen.database with
+      match Oracle.check ~pool ~portfolio:config.portfolio case.Gen.tgds case.Gen.database with
       | [] -> None
       | discrepancies ->
           Obs.count "check.discrepancies" (List.length discrepancies);
@@ -81,7 +79,7 @@ let run_case ~pool ~config ~index profile =
             else
               Shrink.minimize
                 ~fails:(fun ts db ->
-                  match Oracle.check ~pool ~backends:config.backends ~portfolio:config.portfolio ts db with
+                  match Oracle.check ~pool ~portfolio:config.portfolio ts db with
                   | ds -> List.exists (fun d -> List.mem d.Oracle.invariant invariants) ds
                   | exception _ -> false)
                 case.Gen.tgds case.Gen.database
@@ -142,15 +140,6 @@ let json r =
        r.config.seed r.config.jobs
        (String.concat ", "
           (List.map (fun p -> "\"" ^ esc (Profile.name p) ^ "\"") r.config.profiles)));
-  Buffer.add_string buf
-    (Printf.sprintf "\"backends\": [%s], "
-       (String.concat ", "
-          (List.map
-             (fun b ->
-               "\""
-               ^ esc (Chase_engine.Restricted.backend_name (b :> Chase_engine.Restricted.backend))
-               ^ "\"")
-             r.config.backends)));
   Buffer.add_string buf
     (Printf.sprintf "\"portfolio\": %b, " r.config.portfolio);
   Buffer.add_string buf

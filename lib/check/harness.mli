@@ -15,9 +15,6 @@ type config = {
   jobs : int;  (** pool size when [run] creates its own pool *)
   shrink : bool;
   corpus_dir : string option;  (** write shrunk repros here *)
-  backends : Chase_engine.Store.backend list;
-      (** store backends the oracle compares against the naive
-          reference (default: all — compiled and columnar) *)
   portfolio : bool;
       (** add the portfolio-vs-fixed decider cross-exam and the
           subsumption-pruning cross-check (default: [false]) *)

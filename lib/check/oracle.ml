@@ -99,53 +99,37 @@ let check_stop_relation ~what tgds d =
         end)
       (List.mapi (fun k s -> (k, s)) steps)
 
-let check_restricted ~pool ~budgets ~backends tgds db =
+let check_restricted ~pool ~budgets tgds db =
   let max_steps = budgets.restricted_steps in
   List.concat_map
     (fun strategy ->
       let sname = Restricted.strategy_name strategy in
       guarded (Printf.sprintf "restricted(%s)" sname) @@ fun () ->
-      let run backend =
-        Restricted.run ~backend ~strategy ~max_steps ~naming:`Canonical tgds db
+      let run ?pool backend =
+        Restricted.run ~backend ~strategy ~max_steps ~naming:`Canonical ?pool tgds db
       in
       let d_naive = run `Naive in
-      let store_runs =
-        List.map (fun b -> ((b :> Restricted.backend), run (b :> Restricted.backend))) backends
-      in
+      let d_store = run `Columnar in
       let agree =
-        List.concat_map
-          (fun (backend, d) ->
-            compare_derivations ~invariant:"backend-agreement"
-              ~what:
-                (Printf.sprintf "restricted/%s naive-vs-%s" sname
-                   (Restricted.backend_name backend))
-              d_naive d)
-          store_runs
+        compare_derivations ~invariant:"backend-agreement"
+          ~what:(Printf.sprintf "restricted/%s naive-vs-columnar" sname)
+          d_naive d_store
       in
       let jobs =
         if not (Chase_exec.Pool.is_parallel pool) then []
         else
-          List.concat_map
-            (fun (backend, d_seq) ->
-              let d_par =
-                Restricted.run ~backend ~strategy ~max_steps ~naming:`Canonical ~pool tgds db
-              in
-              compare_derivations ~invariant:"jobs-agreement"
-                ~what:
-                  (Printf.sprintf "restricted/%s/%s jobs=1-vs-jobs=%d" sname
-                     (Restricted.backend_name backend)
-                     (Chase_exec.Pool.jobs pool))
-                d_seq d_par)
-            store_runs
+          compare_derivations ~invariant:"jobs-agreement"
+            ~what:
+              (Printf.sprintf "restricted/%s/columnar jobs=1-vs-jobs=%d" sname
+                 (Chase_exec.Pool.jobs pool))
+            d_store (run ~pool `Columnar)
       in
       let valid =
         List.concat_map
-          (fun (backend, d) ->
+          (fun (bname, d) ->
             if Derivation.validate tgds d then []
-            else
-              fail "derivation-valid" "restricted/%s %s derivation fails validation" sname
-                (Restricted.backend_name backend))
-          ((`Naive, d_naive) :: store_runs)
+            else fail "derivation-valid" "restricted/%s %s derivation fails validation" sname bname)
+          [ ("naive", d_naive); ("columnar", d_store) ]
       in
       let model =
         if Derivation.status d_naive <> Derivation.Terminated then []
@@ -156,27 +140,23 @@ let check_restricted ~pool ~budgets ~backends tgds db =
       agree @ jobs @ valid @ model @ stop)
     strategies
 
-let check_oblivious ~budgets ~backends tgds db =
+let check_oblivious ~budgets tgds db =
   let max_steps = budgets.oblivious_steps in
   List.concat_map
     (fun (variant, vname) ->
       guarded (Printf.sprintf "oblivious(%s)" vname) @@ fun () ->
       let r1 = Oblivious.run ~backend:`Naive ~variant ~max_steps tgds db in
-      List.concat_map
-        (fun b ->
-          let other = Restricted.backend_name (b :> Restricted.backend) in
-          let r2 = Oblivious.run ~backend:(b :> Oblivious.backend) ~variant ~max_steps tgds db in
-          if
-            not
-              (Instance.equal r1.Oblivious.instance r2.Oblivious.instance
-              && r1.Oblivious.applications = r2.Oblivious.applications
-              && r1.Oblivious.saturated = r2.Oblivious.saturated)
-          then
-            fail "backend-agreement" "%s: naive (%d apps, saturated %b) vs %s (%d apps, %b)"
-              vname r1.Oblivious.applications r1.Oblivious.saturated other
-              r2.Oblivious.applications r2.Oblivious.saturated
-          else [])
-        backends)
+      let r2 = Oblivious.run ~backend:`Columnar ~variant ~max_steps tgds db in
+      if
+        not
+          (Instance.equal r1.Oblivious.instance r2.Oblivious.instance
+          && r1.Oblivious.applications = r2.Oblivious.applications
+          && r1.Oblivious.saturated = r2.Oblivious.saturated)
+      then
+        fail "backend-agreement" "%s: naive (%d apps, saturated %b) vs columnar (%d apps, %b)"
+          vname r1.Oblivious.applications r1.Oblivious.saturated r2.Oblivious.applications
+          r2.Oblivious.saturated
+      else [])
     [ (Oblivious.Oblivious, "oblivious"); (Oblivious.Semi_oblivious, "semi-oblivious") ]
 
 (* When both chases complete, restricted and oblivious results are both
@@ -245,7 +225,7 @@ let check_ochase ~budgets tgds db =
    reproducible from the case alone.  The scenarios run on the drawn
    set and on its multi-head variant ([Gen.multi_head_variant]), whose
    steps can re-derive atoms that were present when they fired. *)
-let incremental_scenarios ~pool ~budgets ~backends ~set tgds db =
+let incremental_scenarios ~pool ~budgets ~set tgds db =
   guarded "incremental" @@ fun () ->
   let max_steps = budgets.restricted_steps in
   let scratches = ref [] in
@@ -283,11 +263,10 @@ let incremental_scenarios ~pool ~budgets ~backends ~set tgds db =
   | Some whole ->
       let atoms = Instance.to_list db in
       let split k = List.init k (fun i -> List.filteri (fun j _ -> j mod k = i) atoms) in
-      let interleaved (k, backend) =
-        let bname = Restricted.backend_name (backend :> Restricted.backend) in
-        let what step = Printf.sprintf "%sinterleaving k=%d/%s, %s" set k bname step in
+      let interleaved k =
+        let what step = Printf.sprintf "%sinterleaving k=%d, %s" set k step in
         let batches = split k in
-        let s = Incremental.create ~strategy:Restricted.Fifo ~backend tgds Instance.empty in
+        let s = Incremental.create ~strategy:Restricted.Fifo tgds Instance.empty in
         let derived = ref [] in
         let saturated =
           List.for_all
@@ -318,10 +297,9 @@ let incremental_scenarios ~pool ~budgets ~backends ~set tgds db =
           @ step "retracted the odd batches" (fun s -> ignore (Incremental.retract_atoms s odd))
           @ step "retracted the rest" (fun s -> ignore (Incremental.retract_atoms s even))
       in
-      let unfolded (k, backend) =
-        let bname = Restricted.backend_name (backend :> Restricted.backend) in
+      let unfolded k =
         let batches = split k in
-        let s = Incremental.create ~strategy:Restricted.Fifo ~backend tgds Instance.empty in
+        let s = Incremental.create ~strategy:Restricted.Fifo tgds Instance.empty in
         if
           List.for_all
             (fun batch ->
@@ -334,31 +312,27 @@ let incremental_scenarios ~pool ~budgets ~backends ~set tgds db =
                (List.concat (List.filteri (fun i _ -> i mod 2 = 1) batches)));
           agree
             ~what:
-              (Printf.sprintf
-                 "%sunfolded interleaving k=%d/%s, retracted the odd batches" set k bname)
+              (Printf.sprintf "%sunfolded interleaving k=%d, retracted the odd batches" set k)
             s (settle s)
         end
         else []
       in
-      let stopped backend =
-        let bname = Restricted.backend_name (backend :> Restricted.backend) in
-        let s = Incremental.create ~strategy:Restricted.Fifo ~backend tgds db in
+      let stopped () =
+        let s = Incremental.create ~strategy:Restricted.Fifo tgds db in
         let o = Incremental.chase ~epool:pool ~max_steps:(max 1 (Derivation.length whole / 2)) s in
         if o.Incremental.saturated then []
         else begin
           ignore (Incremental.retract_atoms s (List.filteri (fun j _ -> j mod 2 = 0) atoms));
           agree
-            ~what:(Printf.sprintf "%sbudget-stopped/%s, retracted the even facts" set bname)
+            ~what:(Printf.sprintf "%sbudget-stopped, retracted the even facts" set)
             s (settle s)
         end
       in
-      List.concat_map interleaved (List.concat_map (fun b -> [ (2, b); (3, b) ]) backends)
-      @ List.concat_map unfolded (List.map (fun b -> (3, b)) backends)
-      @ List.concat_map stopped backends
+      interleaved 2 @ interleaved 3 @ unfolded 3 @ stopped ()
 
-let check_incremental ~pool ~budgets ~backends tgds db =
-  incremental_scenarios ~pool ~budgets ~backends ~set:"" tgds db
-  @ incremental_scenarios ~pool ~budgets ~backends ~set:"multi-head set, "
+let check_incremental ~pool ~budgets tgds db =
+  incremental_scenarios ~pool ~budgets ~set:"" tgds db
+  @ incremental_scenarios ~pool ~budgets ~set:"multi-head set, "
       (Gen.multi_head_variant tgds) db
 
 let check_decider ~pool ~budgets ?(portfolio = false) tgds db =
@@ -457,13 +431,11 @@ let check_decider ~pool ~budgets ?(portfolio = false) tgds db =
       in
       exams "fixed" report @ portfolio_exam @ prune_exam
 
-let all_store_backends : Store.backend list = [ `Compiled; `Columnar ]
-
-let check ?(pool = Chase_exec.Pool.inline) ?(budgets = default_budgets)
-    ?(backends = all_store_backends) ?(portfolio = false) tgds db =
-  check_restricted ~pool ~budgets ~backends tgds db
-  @ check_oblivious ~budgets ~backends tgds db
+let check ?(pool = Chase_exec.Pool.inline) ?(budgets = default_budgets) ?(portfolio = false)
+    tgds db =
+  check_restricted ~pool ~budgets tgds db
+  @ check_oblivious ~budgets tgds db
   @ check_universality ~budgets tgds db
   @ check_ochase ~budgets tgds db
-  @ check_incremental ~pool ~budgets ~backends tgds db
+  @ check_incremental ~pool ~budgets tgds db
   @ check_decider ~pool ~budgets ~portfolio tgds db

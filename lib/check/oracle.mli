@@ -7,13 +7,12 @@
 
     Invariants checked (names appear in {!discrepancy.invariant}):
 
-    - [backend-agreement] — the naive, compiled and columnar restricted
+    - [backend-agreement] — the naive and the columnar-store restricted
       runs are bit-identical (status, triggers, produced atoms, final
-      instance) for every strategy; same triple for the oblivious
-      variants.  The naive run is the reference; each store backend in
-      [backends] (default: compiled and columnar) is compared to it.
-    - [jobs-agreement] — a parallel pool run equals the sequential one,
-      on both the compiled and the columnar backend.
+      instance) for every strategy; same pair for the oblivious
+      variants.  The naive run is the reference.
+    - [jobs-agreement] — a parallel pool run equals the sequential one
+      on the columnar store.
     - [derivation-valid] — every step applied an active trigger to the
       previous instance ([Derivation.validate]).
     - [model] — a terminated restricted run's final instance is a model
@@ -31,7 +30,7 @@
       ([Incremental]) in k batches with a chase after each must land
       on a model of the accumulated facts that is hom-equivalent to
       the from-scratch chase (both are universal models of the same
-      database) — replayed over both store backends.  The same holds
+      database) — replayed on the columnar store.  The same holds
       after each retraction that follows: of base facts a step had
       already derived (and their re-assert), of every other batch, of
       the rest (which must leave nothing), of every other batch of a
@@ -72,20 +71,13 @@ val default_budgets : budgets
 
 val pp_discrepancy : Format.formatter -> discrepancy -> unit
 
-(** Every store backend, for callers threading a checked set around. *)
-val all_store_backends : Chase_engine.Store.backend list
-
 (** Run the full matrix.  [pool] (default: inline) additionally checks
     parallel-vs-sequential agreement when it is an actual pool.
-    [backends] (default: {!all_store_backends}) selects the store
-    backends compared against the naive reference — restricted,
-    oblivious, jobs-agreement and incremental sections all honour it.
     [portfolio] (default: [false]) adds the portfolio-vs-fixed decider
     cross-exam and the subsumption-pruning cross-check. *)
 val check :
   ?pool:Chase_exec.Pool.t ->
   ?budgets:budgets ->
-  ?backends:Chase_engine.Store.backend list ->
   ?portfolio:bool ->
   Tgd.t list ->
   Instance.t ->

@@ -155,6 +155,7 @@ type t = {
       (* persistent image of all but [pending]; [None] after a [remove],
          until [snapshot] rebuilds it from the rows *)
   mutable pending : Atom.t list;  (* added since [snap], newest first *)
+  mutable removals : int;  (* [remove] calls that deleted a row *)
 }
 
 let create ?(size_hint = 64) () =
@@ -165,6 +166,7 @@ let create ?(size_hint = 64) () =
     size = 0;
     snap = Some Instance.empty;
     pending = [];
+    removals = 0;
   }
 
 let rec pow2_ge n k = if k >= n then k else pow2_ge n (2 * k)
@@ -626,6 +628,7 @@ let remove c atoms =
       !doomed;
     Obs.count "cinstance.compact.rows" !removed;
     c.size <- c.size - !removed;
+    c.removals <- c.removals + 1;
     c.memo <- None;
     c.snap <- None;
     c.pending <- [];
@@ -644,4 +647,5 @@ module Rel = struct
 end
 
 let rel c pred arity = rel_lookup c pred arity
+let removals c = c.removals
 let atom_of_row c r row = atom_of_rel_row c r row

@@ -1,16 +1,16 @@
-(** Columnar, interned mutable instances — the [`Columnar] chase
-    backend's fact store.
+(** Columnar, interned mutable instances — the fact store of every
+    store-backed chase engine.
 
-    Same logical contract as {!Minstance} — [add]/[mem]/[with_pred]/
-    [with_pos_term]/[snapshot] over ground atoms — but each relation
-    (keyed by predicate {e and} arity) is stored as growable integer
-    columns, one per argument position, over a {!Term_interner}:
+    The logical contract of {!Instance} — [add]/[mem]/[with_pred]/
+    [with_pos_term]/[snapshot] over ground atoms — made mutable: each
+    relation (keyed by predicate {e and} arity) is stored as growable
+    integer columns, one per argument position, over a
+    {!Term_interner}:
 
     - a fact is one row: arity cells of dense term ids, no boxed
       [Atom.t] on the hot path;
     - per-position secondary indexes map a term id to the row numbers
-      where it occurs, replacing the [(pred, pos, term)] Hashtbl of
-      {!Minstance};
+      where it occurs;
     - duplicate detection hashes the id tuple and compares candidate
       rows by scanning columns — no structural [Atom.equal] either.
       A relation's dedup table is built by the first {!add} to it, not
@@ -26,15 +26,14 @@
     {b Concurrency.}  Reads never mutate (in particular they never
     intern: a term the store has not seen occurs in no row), so the
     parallel speculative activity scan may probe a frozen store from
-    many domains, exactly as with {!Minstance}.  All mutation
+    many domains.  All mutation
     ({!add}, {!remove}) is single-domain, like every engine's.
 
     {b How long an id lives.}  A term id (from {!find_id}, or a cell of
     {!Rel.cols}) and a {!Rel.t} are valid until the next {!remove},
     which renumbers the interner and rebuilds the relations it touches.
-    Nothing outside this module keeps either across calls: compiled
-    plans resolve relations and constant ids per enumeration
-    ({!Plan.source_of_cinstance}). *)
+    A compiled plan's source ({!Plan.source_of_cinstance}) keeps the
+    relations and constant ids it resolved until {!removals} moves. *)
 
 type t
 
@@ -74,10 +73,12 @@ val pos_term_count : t -> string -> int -> Term.t -> int
 
 val iter : (Atom.t -> unit) -> t -> unit
 
-(** Persistent image of the current contents; amortized O(atoms added
-    since the previous snapshot), exactly as {!Minstance.snapshot}.
-    The first snapshot after a {!remove} builds the image afresh from
-    the rows. *)
+(** Persistent image of the current contents.  Amortized O(atoms added
+    since the previous snapshot): between removals every atom is folded
+    into the persistent image at most once, so a snapshot after each
+    chase step costs no more in total than building the persistent
+    instance directly.  The first snapshot after a {!remove} builds the
+    image afresh from the rows. *)
 val snapshot : t -> Instance.t
 
 (** [remove c atoms] deletes the atoms of [atoms] the store holds (the
@@ -149,3 +150,8 @@ val rel : t -> string -> int -> Rel.t option
 (** The atom stored at a row of a relation (rebuilt through the
     interner). *)
 val atom_of_row : t -> Rel.t -> int -> Atom.t
+
+(** How many {!remove} calls have deleted rows from the store.  A
+    {!Rel.t} or term id obtained while this reads [n] stays valid for as
+    long as it still reads [n]. *)
+val removals : t -> int

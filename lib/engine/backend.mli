@@ -3,11 +3,12 @@
     through — so an unknown backend name produces the same error
     everywhere. *)
 
-(** [`Naive]: generic homomorphism search over the persistent instance.
-    [`Compiled]: compiled join plans over the Hashtbl-backed
-    {!Chase_core.Minstance}.  [`Columnar]: the same compiled plans over
-    the interned, columnar {!Chase_core.Cinstance}.  All three produce
-    identical derivations (property-tested and fuzzed). *)
+(** [`Naive]: generic homomorphism search over the persistent instance,
+    the reference the other backend is tested against.  [`Compiled] and
+    [`Columnar] name one backend under two names: compiled join plans
+    over the interned, columnar {!Chase_core.Cinstance}.  Both
+    backends produce identical derivations (property-tested and
+    fuzzed). *)
 type t = [ `Naive | `Compiled | `Columnar ]
 
 (** In canonical order: naive, compiled, columnar. *)

@@ -1,9 +1,9 @@
 (* A resumable restricted-chase state — the engine core of
    `chasectl serve` (see incremental.mli for the soundness argument).
 
-   The state is exactly what [Restricted.run_compiled] keeps on its
-   stack, lifted into a value that survives between calls: the mutable
-   instance and its plan source, the compiled plans, the head memo, and
+   The state is exactly what [Restricted.run] keeps on its stack,
+   lifted into a value that survives between calls: the columnar store
+   and its plan source, the compiled plans, the head memo, and
    the pending-candidate pool (the trigger frontier).  [assert_atoms]
    is the semi-naive delta step: each genuinely new atom seeds
    [Plan.iter_delta_homs], so only triggers whose body uses a new atom
@@ -58,7 +58,8 @@ type t = {
   backend : Store.backend;
   plans : (Tgd.t * Plan.t) list;
   mutable base : Instance.t;  (* accumulated asserted facts *)
-  store : Store.t;
+  facts : Cinstance.t;  (* the chase result so far *)
+  source : Plan.source;  (* [facts] as a plan source *)
   mutable memo : Plan.Head_memo.t;
   mutable pool : Restricted.Pool.t;
   mutable saturated : bool;
@@ -80,11 +81,12 @@ let seed_pool t =
   let batch = ref [] in
   List.iter
     (fun (tgd, p) ->
-      Plan.iter_homs p t.store.Store.source (fun hom -> batch := Trigger.make tgd hom :: !batch))
+      Plan.iter_homs p t.source (fun hom -> batch := Trigger.make tgd hom :: !batch))
     t.plans;
   Restricted.Pool.push_batch t.pool !batch
 
 let create ?(strategy = Restricted.Fifo) ?(backend = `Columnar) tgds database =
+  let { Store.facts; source } = Store.of_instance backend database in
   let t =
     {
       tgds;
@@ -94,7 +96,8 @@ let create ?(strategy = Restricted.Fifo) ?(backend = `Columnar) tgds database =
          cache, which would keep them after the session is gone *)
       plans = List.map (fun tgd -> (tgd, Plan.compile tgd)) tgds;
       base = database;
-      store = Store.of_instance backend database;
+      facts;
+      source;
       memo = Plan.Head_memo.create ();
       pool = Restricted.Pool.create strategy;
       saturated = false;
@@ -112,10 +115,10 @@ let create ?(strategy = Restricted.Fifo) ?(backend = `Columnar) tgds database =
 let tgds t = t.tgds
 let base t = t.base
 let backend t = t.backend
-let instance t = t.store.Store.snapshot ()
-let mem t atom = t.store.Store.mem atom
-let source t = t.store.Store.source
-let cardinal t = t.store.Store.cardinal ()
+let instance t = Cinstance.snapshot t.facts
+let mem t atom = Cinstance.mem t.facts atom
+let source t = t.source
+let cardinal t = Cinstance.cardinal t.facts
 let pending t = Restricted.Pool.size t.pool
 let saturated t = t.saturated
 let warm t = t.warm
@@ -123,14 +126,14 @@ let steps_total t = t.steps_total
 let chases t = t.chases
 let retractions t = t.retractions
 
-(* Delta discovery for one new atom: one [plan.delta.seed] pass per
-   plan, pushed as a canonically sorted batch (same discipline as
-   [Restricted.run_compiled]). *)
+(* Delta discovery for one atom: one [plan.delta.seed] pass per plan,
+   pushed as a canonically sorted batch (same discipline as
+   [Restricted.run]). *)
 let discover_delta t atom =
   let batch = ref [] in
   List.iter
     (fun (tgd, p) ->
-      Plan.iter_delta_homs p t.store.Store.source atom (fun hom ->
+      Plan.iter_delta_homs p t.source atom (fun hom ->
           batch := Trigger.make tgd hom :: !batch))
     t.plans;
   Restricted.Pool.push_batch t.pool !batch
@@ -140,7 +143,7 @@ let assert_atoms t atoms =
     List.fold_left
       (fun n atom ->
         t.base <- Instance.add atom t.base;
-        if t.store.Store.add atom then begin
+        if Cinstance.add t.facts atom then begin
           discover_delta t atom;
           n + 1
         end
@@ -203,7 +206,7 @@ let over_delete t retracted =
    atom may have witnessed the head of. *)
 let replay t gone =
   let deleted = List.sort Atom.compare (AtomTbl.fold (fun a () acc -> a :: acc) gone []) in
-  t.store.Store.remove deleted;
+  Cinstance.remove t.facts deleted;
   let pending = ref [] in
   Restricted.Pool.iter t.pool (fun trigger ->
       if not (List.exists (AtomTbl.mem gone) (body_of trigger)) then
@@ -216,7 +219,7 @@ let replay t gone =
       let batch = ref [] in
       List.iter
         (fun (tgd, p) ->
-          Plan.iter_witness_homs p t.store.Store.source atom (fun hom ->
+          Plan.iter_witness_homs p t.source atom (fun hom ->
               batch := Trigger.make tgd hom :: !batch))
         t.plans;
       Restricted.Pool.push_batch t.pool !batch)
@@ -245,7 +248,7 @@ let chase ?(epool = Exec.inline) ?(max_steps = default_max_steps) ?deadline ?max
   let incremental = t.warm in
   t.chases <- t.chases + 1;
   let next_active =
-    Restricted.make_next_active ~epool ~plan_of:(plan_of t) ~src:t.store.Store.source
+    Restricted.make_next_active ~epool ~plan_of:(plan_of t) ~src:t.source
       ~memo:t.memo t.pool
   in
   let over_deadline =
@@ -256,7 +259,7 @@ let chase ?(epool = Exec.inline) ?(max_steps = default_max_steps) ?deadline ?max
   let over_facts =
     match max_facts with
     | None -> fun () -> false
-    | Some cap -> fun () -> t.store.Store.cardinal () > cap
+    | Some cap -> fun () -> cardinal t > cap
   in
   let rec go steps =
     if steps >= max_steps then (steps, Some Steps)
@@ -269,17 +272,12 @@ let chase ?(epool = Exec.inline) ?(max_steps = default_max_steps) ?deadline ?max
           t.warm <- true;
           (steps, None)
       | Some trigger ->
+          (* add the whole result, then discover for every produced
+             atom: [Restricted.run]'s order, so a fresh session derives
+             what [Restricted.run ~naming:`Canonical] does *)
           let produced = Trigger.result trigger in
-          let owned =
-            List.filter
-              (fun atom ->
-                t.store.Store.add atom
-                && begin
-                     discover_delta t atom;
-                     true
-                   end)
-              produced
-          in
+          let owned = List.filter (Cinstance.add t.facts) produced in
+          List.iter (discover_delta t) produced;
           let owned = if List.compare_lengths owned produced = 0 then produced else owned in
           log_step t { trigger; produced; owned };
           Obs.incr "session.steps";

@@ -47,13 +47,13 @@
     rediscovers).  The next chase therefore saturates to a model in
     which every atom is derivable from the surviving base: a universal
     model, hom-equivalent to a from-scratch chase of it.  The deleted
-    atoms leave the store in place ([Store.remove]), in sorted order,
+    atoms leave the store in place ([Cinstance.remove]), in sorted order,
     so the store, its plan source and the survivors' rows carry over;
     no store is reloaded.  The fuzz oracle's [incremental-equivalence]
     profile retracts every other batch after saturation, then the rest,
     base facts a step also derives, every other batch of a session that
     never took a snapshot, and facts of a budget-stopped session, on
-    both stores and on multi-head variants of the drawn sets.  The log
+    the drawn sets and their multi-head variants.  The log
     holds at most one entry per atom of the instance: an active trigger
     always adds one. *)
 
@@ -79,10 +79,8 @@ type t
 
 (** A fresh state over the TGD set and initial database; the frontier
     is seeded with every trigger of the database.  [backend] (default
-    [`Columnar]) picks the mutable store the session chases over —
-    hash-indexed {!Chase_core.Minstance} or the interned columnar
-    {!Chase_core.Cinstance}; the derivation is bit-identical either
-    way. *)
+    [`Columnar]) is recorded and reported by {!backend}; both tags name
+    the one interned columnar store, {!Chase_core.Cinstance}. *)
 val create :
   ?strategy:Restricted.strategy -> ?backend:Store.backend -> Tgd.t list -> Instance.t -> t
 
@@ -146,7 +144,11 @@ val default_max_steps : int
     [max_facts] a cap on the instance cardinality.  [epool]
     parallelizes the activity scan exactly as in [Restricted.run].
     Resumable: a budget-stopped state continues where it left off on
-    the next call. *)
+    the next call.  A step adds its whole result to the store, then
+    discovers the triggers of every produced atom, in [Restricted.run]'s
+    order; so a fresh state chased to saturation holds exactly
+    [Derivation.final (Restricted.run ~naming:`Canonical)] of the same
+    TGDs, database and strategy. *)
 val chase :
   ?epool:Chase_exec.Pool.t ->
   ?max_steps:int ->

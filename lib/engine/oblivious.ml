@@ -8,11 +8,11 @@
    The semi-oblivious chase identifies triggers agreeing on the frontier:
    (σ, h) is applied only if no (σ, h') with h'|fr = h|fr was.
 
-   As in {!Restricted}, three backends run the same schedule:
-   [`Compiled] (default) uses compiled plans over a mutable hash-indexed
-   instance, [`Columnar] the same plans over the interned columnar
-   store, [`Naive] the generic search over the persistent one.
-   Candidates are enqueued in sorted batches, so all produce the same
+   As in {!Restricted}, two engines run the same schedule: the
+   store-backed one ([`Compiled], the default, and its alias
+   [`Columnar]) uses compiled plans over the interned columnar store,
+   [`Naive] the generic search over the persistent instance.
+   Candidates are enqueued in sorted batches, so both produce the same
    application sequence — which matters for the semi-oblivious variant,
    where the choice of frontier-class representative decides the
    canonical null names. *)
@@ -98,8 +98,7 @@ let run_naive ~variant ~max_steps tgds database =
   loop database 0
 
 let run_store ~backend ~variant ~max_steps tgds database =
-  let store = Store.of_instance backend database in
-  let src = store.Store.source in
+  let { Store.facts; source = src } = Store.of_instance backend database in
   let plans = List.map (fun tgd -> (tgd, Plan.of_tgd tgd)) tgds in
   let queue = Queue.create () in
   let enqueue = make_enqueue variant queue in
@@ -108,7 +107,7 @@ let run_store ~backend ~variant ~max_steps tgds database =
     (fun (tgd, p) -> Plan.iter_homs p src (fun hom -> seed := Trigger.make tgd hom :: !seed))
     plans;
   enqueue !seed;
-  let snapshot () = store.Store.snapshot () in
+  let snapshot () = Cinstance.snapshot facts in
   let rec loop n =
     if Queue.is_empty queue then { instance = snapshot (); applications = n; saturated = true }
     else if n >= max_steps then { instance = snapshot (); applications = n; saturated = false }
@@ -118,7 +117,7 @@ let run_store ~backend ~variant ~max_steps tgds database =
       let produced = Trigger.result trigger in
       (* Add everything first (applications are simultaneous), remember
          which atoms were genuinely new. *)
-      let fresh = List.filter (fun atom -> store.Store.add atom) produced in
+      let fresh = List.filter (Cinstance.add facts) produced in
       Obs.count "oblivious.fresh_atoms" (List.length fresh);
       List.iter
         (fun atom ->

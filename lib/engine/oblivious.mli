@@ -9,11 +9,10 @@ open Chase_core
 
 type variant = Oblivious | Semi_oblivious
 
-(** Matching backend, as in {!Restricted}: compiled plans on the mutable
-    hash-indexed instance (default), the same plans on the interned
-    columnar store ([`Columnar]), or the generic search on the
-    persistent one ([`Naive]); all run the identical application
-    sequence. *)
+(** Matching backend, as in {!Restricted}: compiled plans on the
+    interned columnar store ([`Compiled], the default, or its alias
+    [`Columnar]), or the generic search on the persistent instance
+    ([`Naive]); both run the identical application sequence. *)
 type backend = Backend.t
 
 type result = {

@@ -14,8 +14,9 @@
    a model, and every atom is produced by a trigger that was active when
    its round began.
 
-   Candidates are discovered incrementally on the compiled-plan fast
-   path (PR 1): one [Plan.iter_homs] seed for the database, then
+   Candidates are discovered incrementally with compiled plans over the
+   interned columnar store ({!Chase_core.Cinstance}): one
+   [Plan.iter_homs] seed for the database, then
    [Plan.iter_delta_homs] per atom actually added — never a full
    re-enumeration per round.  A candidate leaves the set for good once
    applied (its own head atoms satisfy it) or found inactive (activity
@@ -56,8 +57,8 @@ exception Round_bound
    persist across rounds and into {!Sequentialize}, and a trigger firing
    in two different rounds produces the same atom. *)
 let run ?(max_rounds = default_max_rounds) ?(pool = Exec.inline) tgds database =
-  let m = Minstance.of_instance database in
-  let src = Plan.source_of_minstance m in
+  let facts = Cinstance.of_instance database in
+  let src = Plan.source_of_cinstance facts in
   let plans = List.map (fun tgd -> (tgd, Plan.of_tgd tgd)) tgds in
   let plan_of tgd =
     match List.find_opt (fun (t, _) -> t == tgd) plans with
@@ -77,7 +78,7 @@ let run ?(max_rounds = default_max_rounds) ?(pool = Exec.inline) tgds database =
     end
   in
   let unsaturated rounds =
-    { database; rounds = List.rev rounds; final = Minstance.snapshot m; saturated = false }
+    { database; rounds = List.rev rounds; final = Cinstance.snapshot facts; saturated = false }
   in
   let is_active t = not (Plan.head_satisfied (plan_of (Trigger.tgd t)) src (Trigger.hom t)) in
   let rec go candidates rounds i =
@@ -89,7 +90,7 @@ let run ?(max_rounds = default_max_rounds) ?(pool = Exec.inline) tgds database =
       Array.iteri (fun j t -> if verdicts.(j) then active := t :: !active) cands;
       let active = List.rev !active in
       match active with
-      | [] -> { database; rounds = List.rev rounds; final = Minstance.snapshot m; saturated = true }
+      | [] -> { database; rounds = List.rev rounds; final = Cinstance.snapshot facts; saturated = true }
       | _ ->
           (* Inactive candidates are dropped for good (monotonicity);
              applied ones satisfy their own heads from now on. *)
@@ -102,7 +103,7 @@ let run ?(max_rounds = default_max_rounds) ?(pool = Exec.inline) tgds database =
             (fun trigger ->
               List.iter
                 (fun atom ->
-                  if Minstance.add m atom && not !bounded then
+                  if Cinstance.add facts atom && not !bounded then
                     try
                       List.iter
                         (fun (tgd, p) ->
@@ -111,7 +112,7 @@ let run ?(max_rounds = default_max_rounds) ?(pool = Exec.inline) tgds database =
                     with Round_bound -> bounded := true)
                 (Trigger.result trigger))
             active;
-          let rounds = { index = i; applied = active; after = Minstance.snapshot m } :: rounds in
+          let rounds = { index = i; applied = active; after = Cinstance.snapshot facts } :: rounds in
           if !bounded then unsaturated rounds else go !discovered rounds (i + 1)
     end
   in

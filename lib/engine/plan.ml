@@ -21,6 +21,17 @@ type step = {
          Used only to select the candidate index. *)
 }
 
+(* A seed step (matched directly against a delta atom) and the compiled
+   suffix for the remaining body atoms.  The keys name [seed_alone]
+   ([[|seed|]]) and [suffix] in a columnar source's resolution cache. *)
+type delta_step = {
+  seed : step;
+  seed_alone : step array;
+  seed_key : int;
+  suffix : step array;
+  suffix_key : int;
+}
+
 type t = {
   tgd : Tgd.t;
   id : int;  (* unique per compiled plan; memo key component *)
@@ -28,10 +39,10 @@ type t = {
   var_of_slot : Term.t array;
   body_slots : int array;  (* slots of body variables, for emit *)
   body_order : step array;  (* full enumeration *)
-  delta : (step * step array) array;
-      (* per body atom index: the seed step (matched directly against a
-         delta atom) and the compiled suffix for the remaining atoms *)
+  body_key : int;
+  delta : delta_step array;  (* per body atom index *)
   head_steps : step array;  (* head atoms, frontier slots pre-bound *)
+  head_key : int;
   witness : unit -> (step * step array) array;
       (* per head atom: the atom's pattern (matched against a former
          witness atom) and the body order compiled with that atom's
@@ -49,6 +60,11 @@ let tgd p = p.tgd
 (* ------------------------------------------------------------------ *)
 
 let next_id = ref 0
+
+(* Process-wide, so a key names one step array of one plan in every
+   source's resolution cache. *)
+let next_key = Atomic.make 0
+let fresh_key () = Atomic.fetch_and_add next_key 1
 
 let compile tgd =
   Obs.incr "plan.compile";
@@ -137,7 +153,13 @@ let compile tgd =
         let suffix =
           greedy_order rest (Array.of_list (slots_of_pats body_pats.(i))) |> List.map fst
         in
-        (seed, Array.of_list suffix))
+        {
+          seed;
+          seed_alone = [| seed |];
+          seed_key = fresh_key ();
+          suffix = Array.of_list suffix;
+          suffix_key = fresh_key ();
+        })
   in
   let frontier_vars = Array.of_list (Term.Set.elements (Tgd.frontier tgd)) in
   let frontier_slots =
@@ -202,8 +224,10 @@ let compile tgd =
     var_of_slot = var_of_slot ();
     body_slots;
     body_order;
+    body_key = fresh_key ();
     delta;
     head_steps;
+    head_key = fresh_key ();
     witness;
     frontier_vars;
     frontier_slots;
@@ -238,39 +262,6 @@ let cached () = TgdMap.cardinal !cache
 let scoped f =
   let saved = !cache in
   Fun.protect ~finally:(fun () -> cache := saved) f
-
-(* ------------------------------------------------------------------ *)
-(* Sources                                                             *)
-(* ------------------------------------------------------------------ *)
-
-(* Generic sources present atoms as [Atom.t] and are matched
-   structurally; the columnar source is probed through id-compare
-   loops of its own (below), sharing only the compiled plans. *)
-type generic = {
-  iter_pred : string -> (Atom.t -> unit) -> unit;
-  iter_pos_term : string -> int -> Term.t -> (Atom.t -> unit) -> unit;
-  count_pos_term : string -> int -> Term.t -> int;
-}
-
-type source = Generic of generic | Columnar of Cinstance.t
-
-let source_of_instance i =
-  Generic
-    {
-      iter_pred = (fun p f -> Atom.Set.iter f (Instance.with_pred_set i p));
-      iter_pos_term = (fun p k t f -> Atom.Set.iter f (Instance.with_pred_pos_term i p k t));
-      count_pos_term = (fun p k t -> Atom.Set.cardinal (Instance.with_pred_pos_term i p k t));
-    }
-
-let source_of_minstance m =
-  Generic
-    {
-      iter_pred = (fun p f -> List.iter f (Minstance.with_pred m p));
-      iter_pos_term = (fun p k t f -> List.iter f (Minstance.with_pos_term m p k t));
-      count_pos_term = (fun p k t -> Minstance.pos_term_count m p k t);
-    }
-
-let source_of_cinstance c = Columnar c
 
 (* ------------------------------------------------------------------ *)
 (* Runtime                                                             *)
@@ -309,37 +300,37 @@ let try_match st (env : Term.t option array) (trail : int array) tcur atom =
 
 (* Candidate atoms for a step: cheapest statically-bound index, else a
    predicate scan.  An index probe of cardinality 0 short-circuits. *)
-let iter_candidates g st env f =
+let iter_candidates inst st env f =
   if Array.length st.bound = 0 then begin
     Obs.incr "plan.probe.scan";
-    g.iter_pred st.pred f
+    Atom.Set.iter f (Instance.with_pred_set inst st.pred)
   end
   else begin
-    let best_pos = ref (-1) and best_t = ref (Term.Const "") and best_c = ref max_int in
+    let best = ref Atom.Set.empty and best_c = ref max_int in
     Array.iter
       (fun (pos, p) ->
         let v = match p with Fixed t -> t | S s -> Option.get env.(s) in
-        let c = g.count_pos_term st.pred pos v in
+        let atoms = Instance.with_pred_pos_term inst st.pred pos v in
+        let c = Atom.Set.cardinal atoms in
         if c < !best_c then begin
           best_c := c;
-          best_pos := pos;
-          best_t := v
+          best := atoms
         end)
       st.bound;
     if !best_c > 0 then begin
       Obs.incr "plan.probe.index";
-      g.iter_pos_term st.pred !best_pos !best_t f
+      Atom.Set.iter f !best
     end
     else Obs.incr "plan.probe.empty"
   end
 
-let run_steps g steps env trail start_cursor emit =
+let run_steps inst steps env trail start_cursor emit =
   let n = Array.length steps in
   let rec go k tcur =
     if k >= n then emit ()
     else
       let st = steps.(k) in
-      iter_candidates g st env (fun atom ->
+      iter_candidates inst st env (fun atom ->
           let cur' = try_match st env trail tcur atom in
           if cur' >= 0 then begin
             go (k + 1) cur';
@@ -382,9 +373,10 @@ let ipats_of ci st =
       | Fixed t -> ( match Cinstance.find_id ci t with -1 -> -1 | id -> id))
     st.pats
 
-(* A resolved step: its relation, live columns and int-encoded pats,
-   fetched once per enumeration (no adds happen mid-enumeration). *)
-type cstep = { cst : step; crel : Cinstance.Rel.t; ccols : int array array; ipats : int array }
+(* A resolved step: its relation and int-encoded pats.  Both stay valid
+   until the store's next [Cinstance.remove]; the columns are read from
+   the relation per enumeration, since an add may reallocate them. *)
+type cstep = { cst : step; crel : Cinstance.Rel.t; ipats : int array }
 
 exception Dead_step
 
@@ -399,11 +391,61 @@ let resolve_steps ci steps =
         | Some crel ->
             let ipats = ipats_of ci st in
             if Array.exists (fun p -> p = -1) ipats then raise Dead_step;
-            { cst = st; crel; ccols = Cinstance.Rel.cols crel; ipats })
+            { cst = st; crel; ipats })
       steps
   with
   | csteps -> Some csteps
   | exception Dead_step -> None
+
+(* ------------------------------------------------------------------ *)
+(* Sources                                                             *)
+(* ------------------------------------------------------------------ *)
+
+module IntMap = Map.Make (Int)
+
+(* The step arrays a columnar source has resolved, by key, valid while
+   the store's [Cinstance.removals] reads [gen].  Only live resolutions
+   are kept: a missing relation or constant may appear with a later
+   add, a present one lasts until a removal.  The cache is an immutable
+   map behind an atomic, because the parallel activity scan resolves
+   from many domains; two domains racing to extend it may drop one
+   entry, which is resolved again on its next use.  A source that
+   outlives many plans (a serve session) starts over past
+   [max_resolved] entries. *)
+type resolved = { gen : int; size : int; steps : cstep array IntMap.t }
+
+let max_resolved = 4096
+
+type csource = { ci : Cinstance.t; resolved : resolved Atomic.t }
+
+(* A persistent source presents atoms as [Atom.t] and is matched
+   structurally; the columnar source is probed through id-compare
+   loops of its own, sharing only the compiled plans. *)
+type source = Persistent of Instance.t | Columnar of csource
+
+let source_of_instance i = Persistent i
+
+let source_of_cinstance ci =
+  Columnar
+    { ci; resolved = Atomic.make { gen = Cinstance.removals ci; size = 0; steps = IntMap.empty } }
+
+(* [resolve_steps], cached in the source under [key]. *)
+let resolve cs key steps =
+  let gen = Cinstance.removals cs.ci in
+  let r = Atomic.get cs.resolved in
+  match if r.gen = gen then IntMap.find_opt key r.steps else None with
+  | Some _ as hit -> hit
+  | None -> (
+      match resolve_steps cs.ci steps with
+      | None -> None
+      | Some csteps as res ->
+          let r =
+            if r.gen = gen && r.size < max_resolved then r
+            else { gen; size = 0; steps = IntMap.empty }
+          in
+          Atomic.set cs.resolved
+            { gen; size = r.size + 1; steps = IntMap.add key csteps r.steps };
+          res)
 
 (* Row-matching twin of [try_match]: cell [i] of [row] against
    [ipats.(i)]. *)
@@ -466,7 +508,7 @@ let try_match_ids ids ipats arity (env : int array) (trail : int array) tcur =
 
 (* Candidate rows for a resolved step: cheapest posting list among the
    statically bound positions, else a full relation scan — the same
-   policy (and Obs counters) as the generic [iter_candidates]. *)
+   policy (and Obs counters) as the persistent [iter_candidates]. *)
 let iter_candidates_c cs (env : int array) f =
   if Array.length cs.cst.bound = 0 then begin
     Obs.incr "plan.probe.scan";
@@ -502,8 +544,9 @@ let run_steps_c csteps (env : int array) trail start_cursor emit =
     else
       let cs = csteps.(k) in
       let arity = cs.cst.arity in
+      let cols = Cinstance.Rel.cols cs.crel in
       iter_candidates_c cs env (fun row ->
-          let cur' = try_match_row cs.ccols cs.ipats arity env trail tcur row in
+          let cur' = try_match_row cols cs.ipats arity env trail tcur row in
           if cur' >= 0 then begin
             go (k + 1) cur';
             for j = tcur to cur' - 1 do
@@ -528,15 +571,15 @@ let cscratch p = (Array.make (max 1 p.nslots) (-1), Array.make (max 1 p.nslots) 
 
 let iter_homs p src f =
   match src with
-  | Generic g ->
+  | Persistent inst ->
       let env, trail = scratch p in
-      run_steps g p.body_order env trail 0 (fun () -> f (sub_of_env p env))
-  | Columnar ci -> (
-      match resolve_steps ci p.body_order with
+      run_steps inst p.body_order env trail 0 (fun () -> f (sub_of_env p env))
+  | Columnar cs -> (
+      match resolve cs p.body_key p.body_order with
       | None -> ()
       | Some csteps ->
           let env, trail = cscratch p in
-          run_steps_c csteps env trail 0 (fun () -> f (sub_of_env_c p ci env)))
+          run_steps_c csteps env trail 0 (fun () -> f (sub_of_env_c p cs.ci env)))
 
 let iter_tuples p src vars f =
   let slots =
@@ -549,58 +592,59 @@ let iter_tuples p src vars f =
          vars)
   in
   match src with
-  | Generic g ->
+  | Persistent inst ->
       let env, trail = scratch p in
-      run_steps g p.body_order env trail 0 (fun () ->
+      run_steps inst p.body_order env trail 0 (fun () ->
           f (Array.fold_right (fun s acc -> Option.get env.(s) :: acc) slots []))
-  | Columnar ci -> (
-      match resolve_steps ci p.body_order with
+  | Columnar cs -> (
+      (* query plans are compiled per evaluation (Conjunctive_query), so
+         caching their resolution would only fill the source's map *)
+      match resolve_steps cs.ci p.body_order with
       | None -> ()
       | Some csteps ->
           let env, trail = cscratch p in
           run_steps_c csteps env trail 0 (fun () ->
-              f (Array.fold_right (fun s acc -> Cinstance.term_of_id ci env.(s) :: acc) slots [])))
+              f (Array.fold_right (fun s acc -> Cinstance.term_of_id cs.ci env.(s) :: acc) slots [])))
 
 let iter_delta_homs p src atom f =
   let pred = Atom.pred atom in
   match src with
-  | Generic g ->
+  | Persistent inst ->
       Array.iter
-        (fun (seed, suffix) ->
+        (fun d ->
           (* the delta atom comes from outside the per-predicate indexes, so
              the predicate must be checked here *)
-          if String.equal seed.pred pred then begin
+          if String.equal d.seed.pred pred then begin
             let env, trail = scratch p in
-            let cur = try_match seed env trail 0 atom in
+            let cur = try_match d.seed env trail 0 atom in
             if cur >= 0 then begin
               Obs.incr "plan.delta.seed";
-              run_steps g suffix env trail cur (fun () -> f (sub_of_env p env))
+              run_steps inst d.suffix env trail cur (fun () -> f (sub_of_env p env))
             end
           end)
         p.delta
-  | Columnar ci ->
+  | Columnar cs ->
       let arity = Atom.arity atom in
-      let aids = Array.init arity (fun i -> Cinstance.find_id ci (Atom.arg atom i)) in
+      let aids = Array.init arity (fun i -> Cinstance.find_id cs.ci (Atom.arg atom i)) in
       (* delta atoms are always already in the store (engines add before
          discovering), so their args are interned; if not, no stored row
          can join with them and there is nothing to seed *)
       if not (Array.exists (fun id -> id < 0) aids) then
         Array.iter
-          (fun (seed, suffix) ->
-            if String.equal seed.pred pred && seed.arity = arity then begin
-              let ipats = ipats_of ci seed in
-              if not (Array.exists (fun q -> q = -1) ipats) then begin
-                let env, trail = cscratch p in
-                let cur = try_match_ids aids ipats arity env trail 0 in
-                if cur >= 0 then begin
-                  Obs.incr "plan.delta.seed";
-                  match resolve_steps ci suffix with
-                  | None -> ()
-                  | Some csteps ->
-                      run_steps_c csteps env trail cur (fun () -> f (sub_of_env_c p ci env))
-                end
-              end
-            end)
+          (fun d ->
+            if String.equal d.seed.pred pred && d.seed.arity = arity then
+              match resolve cs d.seed_key d.seed_alone with
+              | None -> ()
+              | Some seed ->
+                  let env, trail = cscratch p in
+                  let cur = try_match_ids aids seed.(0).ipats arity env trail 0 in
+                  if cur >= 0 then begin
+                    Obs.incr "plan.delta.seed";
+                    match resolve cs d.suffix_key d.suffix with
+                    | None -> ()
+                    | Some csteps ->
+                        run_steps_c csteps env trail cur (fun () -> f (sub_of_env_c p cs.ci env))
+                  end)
           p.delta
 
 (* The head-seeded twin of [iter_delta_homs]: [atom] is matched as a
@@ -616,8 +660,8 @@ let iter_witness_homs p src atom f =
         if try_match pattern env trail 0 atom >= 0 then begin
           Obs.incr "plan.witness.seed";
           match src with
-          | Generic g -> run_steps g order env trail 0 (fun () -> f (sub_of_env p env))
-          | Columnar ci -> (
+          | Persistent inst -> run_steps inst order env trail 0 (fun () -> f (sub_of_env p env))
+          | Columnar { ci; _ } -> (
               let cenv, ctrail = cscratch p in
               (* a frontier term the store never interned occurs in no
                  row, so no body homomorphism can bind it *)
@@ -645,24 +689,24 @@ exception Sat
 
 let head_satisfied p src hom =
   match src with
-  | Generic g -> (
+  | Persistent inst -> (
       let env, trail = scratch p in
       Array.iteri
         (fun k slot -> env.(slot) <- Some (Substitution.apply_term hom p.frontier_vars.(k)))
         p.frontier_slots;
       try
-        run_steps g p.head_steps env trail 0 (fun () -> raise Sat);
+        run_steps inst p.head_steps env trail 0 (fun () -> raise Sat);
         false
       with Sat -> true)
-  | Columnar ci -> (
-      match resolve_steps ci p.head_steps with
+  | Columnar cs -> (
+      match resolve cs p.head_key p.head_steps with
       | None -> false
       | Some csteps -> (
           let env, trail = cscratch p in
           let known = ref true in
           Array.iteri
             (fun k slot ->
-              let id = Cinstance.find_id ci (Substitution.apply_term hom p.frontier_vars.(k)) in
+              let id = Cinstance.find_id cs.ci (Substitution.apply_term hom p.frontier_vars.(k)) in
               if id < 0 then known := false else env.(slot) <- id)
             p.frontier_slots;
           (* a frontier term the store never saw occurs in no row, so no

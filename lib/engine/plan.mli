@@ -23,9 +23,8 @@
       are cached for a whole run).
 
     Plans run against an abstract {!source}, so the same compiled plans
-    serve the persistent {!Chase_core.Instance}, the mutable
-    {!Chase_core.Minstance} and the columnar {!Chase_core.Cinstance}
-    backends. *)
+    serve the persistent {!Chase_core.Instance} and the mutable columnar
+    {!Chase_core.Cinstance}. *)
 
 open Chase_core
 
@@ -56,17 +55,19 @@ val tgd : t -> Tgd.t
 
 (** {1 Data sources} *)
 
-(** What a plan runs against.  Generic sources (persistent {!Instance},
-    mutable {!Minstance}) present atoms as [Atom.t] and are matched
-    structurally; the columnar {!Cinstance} source is probed through an
-    id-based twin of the runtime — same compiled steps, same index
-    policy, but the innermost loop compares dense term ids.  All three
-    enumerate the same homomorphisms, so engines are backend-agnostic
-    above this seam. *)
+(** What a plan runs against.  A persistent {!Instance} presents atoms
+    as [Atom.t] and is matched structurally; the columnar {!Cinstance}
+    is probed through an id-based twin of the runtime — same compiled
+    steps, same index policy, but the innermost loop compares dense
+    term ids.  Both enumerate the same homomorphisms. *)
 type source
 
 val source_of_instance : Instance.t -> source
-val source_of_minstance : Minstance.t -> source
+
+(** A columnar source remembers the relations and constant ids each
+    plan step resolved to, until the store's next removal
+    ({!Chase_core.Cinstance.removals}), so a caller should make one
+    source per store and keep it. *)
 val source_of_cinstance : Cinstance.t -> source
 
 (** {1 Running plans} *)

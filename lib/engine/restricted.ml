@@ -11,17 +11,17 @@
    downwards (instances only grow, so a satisfied head stays satisfied), so
    a candidate found inactive can be dropped for good.
 
-   Three backends run the same schedule.  [`Compiled] (the default)
-   matches bodies with compiled join plans ({!Plan}) over a mutable
-   hash-indexed instance ({!Chase_core.Minstance}) and memoizes
-   satisfied heads; [`Columnar] runs the same plans over the interned
-   columnar store ({!Chase_core.Cinstance}), id-comparing in the inner
-   join loop; [`Naive] is the original generic-homomorphism search over
-   the persistent instance, kept as the oracle for equivalence tests.
-   All push candidate triggers into the pool in batches sorted by
-   {!Trigger.compare} — one batch for the initial instance, one per
-   produced atom — so the pop sequence, and hence the whole derivation,
-   is identical across backends for every strategy. *)
+   Two engines run the same schedule.  The store-backed one ([`Compiled],
+   the default, and its alias [`Columnar]) matches bodies with compiled
+   join plans ({!Plan}) over the interned columnar store
+   ({!Chase_core.Cinstance}), id-comparing in the inner join loop, and
+   memoizes satisfied heads; [`Naive] is the original
+   generic-homomorphism search over the persistent instance, kept as the
+   oracle for equivalence tests.  Both push candidate triggers into the
+   pool in batches sorted by {!Trigger.compare} — one batch for the
+   initial instance, one per produced atom — so the pop sequence, and
+   hence the whole derivation, is identical across backends for every
+   strategy. *)
 
 open Chase_core
 module Exec = Chase_exec.Pool
@@ -144,7 +144,7 @@ end
 let default_max_steps = 10_000
 
 (* [make_next_active ~epool ~plan_of ~src ~memo pool] is the activity
-   scan shared by [run_compiled] and the resumable {!Incremental}
+   scan shared by [run_store] and the resumable {!Incremental}
    state: repeated calls pop candidates until the first active one
    (None = pool drained).  Sequentially that is one pop + memoized
    activity test per iteration.  With a parallel [epool], a speculative
@@ -238,7 +238,7 @@ let make_next_active ~epool ~plan_of ~src ~memo pool =
     go
   end
 
-(* Observability hooks, shared by both backends (all no-ops unless a
+(* Observability hooks, shared by both engines (all no-ops unless a
    sink is installed; the step-event payload is only built when one is). *)
 let obs_run_start ~backend ~strategy ~max_steps database =
   if Obs.enabled () then
@@ -344,13 +344,11 @@ let run_naive ~strategy ~max_steps ~gen tgds database =
   in
   loop database [] 0
 
-(* The store-backed engine shared by the [`Compiled] and [`Columnar]
-   backends: the loop is identical, only the fact store behind the
-   {!Store.t} seam differs. *)
+(* The store-backed engine: both tags, [`Compiled] and [`Columnar], run
+   it on the columnar store. *)
 let run_store ~backend ~strategy ~max_steps ~gen ~epool tgds database =
   obs_run_start ~backend:(backend :> backend) ~strategy ~max_steps database;
-  let store = Store.of_instance backend database in
-  let src = store.Store.source in
+  let { Store.facts; source = src } = Store.of_instance backend database in
   let plans = List.map (fun tgd -> (tgd, Plan.of_tgd tgd)) tgds in
   let memo = Plan.Head_memo.create () in
   (* Every trigger in this run carries a tgd from [plans] itself, so the
@@ -384,7 +382,7 @@ let run_store ~backend ~strategy ~max_steps ~gen ~epool tgds database =
       | Some trigger ->
           begin
             let produced = Trigger.result ?gen trigger in
-            List.iter (fun atom -> ignore (store.Store.add atom)) produced;
+            List.iter (fun atom -> ignore (Cinstance.add facts atom)) produced;
             List.iter
               (fun atom ->
                 let batch = ref [] in

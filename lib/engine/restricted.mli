@@ -9,12 +9,11 @@ type strategy =
   | Lifo  (** newest candidate first — depth-first, possibly unfair *)
   | Random of int  (** uniformly random active candidate, seeded *)
 
-(** Matching backend.  [`Compiled] (default): compiled join plans over a
-    mutable hash-indexed instance with memoized head satisfaction.
-    [`Columnar]: the same compiled plans over the interned columnar
-    store ({!Chase_core.Cinstance}) — id comparisons in the innermost
-    join loop, built for 10M+-fact databases.  [`Naive]: the generic
-    homomorphism search over the persistent instance.  All three
+(** Matching backend.  [`Compiled] (default) and [`Columnar] name the
+    same engine: compiled join plans over the interned columnar store
+    ({!Chase_core.Cinstance}) — id comparisons in the innermost join
+    loop — with memoized head satisfaction.  [`Naive]: the generic
+    homomorphism search over the persistent instance, the oracle.  Both
     produce {e identical} derivations for every strategy (candidates
     enter the pool in canonically sorted batches), which the property
     tests and the fuzz oracle check. *)
@@ -85,7 +84,7 @@ val drain_status : Pool.t -> (Trigger.t -> bool) -> Derivation.status
     See [docs/OBSERVABILITY.md] for the full signal schema.
 
     [pool] (default: inline) parallelizes the activity scan on the
-    store-backed backends ([`Compiled], [`Columnar]): a speculative
+    store-backed engine ([`Compiled], [`Columnar]): a speculative
     window of upcoming pops is tested
     across domains against the frozen instance and the first active
     trigger in pop order wins, so the derivation — triggers, order,

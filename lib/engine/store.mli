@@ -1,33 +1,24 @@
-(** The mutable-store seam of the engines: one record of operations
-    over whichever fact store a backend uses, so
-    [Restricted]/[Oblivious]/[Incremental] run the same loop over the
-    Hashtbl-backed {!Chase_core.Minstance} ([`Compiled]) and the
-    columnar interned {!Chase_core.Cinstance} ([`Columnar]).  The
-    [`Naive] backend has no mutable store (it chases the persistent
+(** Loading the fact store that [Restricted], [Oblivious] and
+    [Incremental] chase over: the interned columnar
+    {!Chase_core.Cinstance}, which the engines then call directly.
+    The [`Naive] backend has no mutable store (it chases the persistent
     instance directly), hence the narrower backend type here. *)
 
 open Chase_core
 
-(** The backends that own a mutable store. *)
+(** The backends that own a mutable store.  Both tags name the one
+    columnar store; ["compiled"] is kept as an alias of ["columnar"]
+    on every surface that accepts a backend name. *)
 type backend = [ `Compiled | `Columnar ]
 
 type t = {
-  backend : backend;
-  add : Atom.t -> bool;  (** insert; [true] when the atom is new *)
-  mem : Atom.t -> bool;
-  cardinal : unit -> int;
-  snapshot : unit -> Instance.t;
-  remove : Atom.t list -> unit;
-      (** delete the given atoms in place; the persistent image is
-          rebuilt by the next [snapshot] *)
-  source : Plan.source;  (** what compiled plans probe *)
+  facts : Cinstance.t;
+  source : Plan.source;  (** [facts] as a plan source *)
 }
 
-val of_minstance : Minstance.t -> t
-val of_cinstance : Cinstance.t -> t
-
-(** A fresh store of the given backend, loaded with the database,
-    inside an [Obs] span ["store.load"]. *)
+(** A fresh store loaded with the database, inside an [Obs] span
+    ["store.load"].  The backend tag selects nothing: both name the
+    columnar store. *)
 val of_instance : backend -> Instance.t -> t
 
 (** {!Backend.of_name} restricted to store-backed backends: ["naive"]

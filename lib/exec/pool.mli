@@ -16,7 +16,7 @@
     is what keeps the [--jobs 1] paths regression-free.
 
     {b Task contract.}  Task functions must not mutate shared state:
-    they may read frozen structures (a [Minstance] snapshot between
+    they may read frozen structures (the columnar store between
     chase steps, a compiled {!Plan}) and write only to their own result
     slot.  Observability inside task bodies is suspended — worker
     domains have no sink by construction (domain-local sinks, see

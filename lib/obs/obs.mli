@@ -12,7 +12,7 @@
 
     By default {e no sink is installed} and every signal is a single
     branch on a [ref] — the instrumented hot paths (join-plan probes,
-    [Minstance.add], pool pushes) pay near-zero overhead; see
+    [Cinstance.add], pool pushes) pay near-zero overhead; see
     [docs/OBSERVABILITY.md] for measured numbers.  Installing a sink
     ({!install}, {!with_sink}) turns the signals on for its dynamic
     extent.  Two sinks ship with the library: {!Stats} (in-memory

@@ -20,8 +20,9 @@ type t =
       program : string;
       budgets : budgets_override;
       backend : Chase_engine.Store.backend option;
-          (** optional ["backend"] field, ["compiled"] or ["columnar"];
-              [None] inherits the server default *)
+          (** optional ["backend"] field, ["columnar"] or its alias
+              ["compiled"] (echoed as given); [None] inherits the server
+              default *)
     }
   | Assert_facts of { session : string; facts : string }
   | Retract of { session : string; facts : string }

@@ -27,8 +27,8 @@ type chase_record = {
 
 type t
 
-(** [backend] (default [`Columnar]) picks the session's mutable fact
-    store — see {!Chase_engine.Store.backend}. *)
+(** [backend] (default [`Columnar]) is the tag the session reports; both
+    tags name the one columnar store — see {!Chase_engine.Store.backend}. *)
 val create :
   name:string ->
   budgets:budgets ->
@@ -39,7 +39,7 @@ val create :
 
 val name : t -> string
 
-(** The store backend this session chases over. *)
+(** The store backend tag this session was created with. *)
 val backend : t -> Chase_engine.Store.backend
 val budgets : t -> budgets
 val incremental : t -> Chase_engine.Incremental.t

@@ -129,181 +129,140 @@ let unit_tests =
         Alcotest.(check bool) "subset" true (Instance.subset i1 u));
   ]
 
-(* Edge cases both mutable fact stores must get right, run against
-   Minstance and Cinstance through the same closure record (the same
-   shape as the engines' store seam). *)
-type store = {
-  add : Atom.t -> bool;
-  mem : Atom.t -> bool;
-  cardinal : unit -> int;
-  with_pred : string -> Atom.t list;
-  with_pos_term : string -> int -> Term.t -> Atom.t list;
-  pos_term_count : string -> int -> Term.t -> int;
-  snapshot : unit -> Instance.t;
-}
-
-let minstance_store () =
-  let m = Minstance.create () in
-  {
-    add = Minstance.add m;
-    mem = Minstance.mem m;
-    cardinal = (fun () -> Minstance.cardinal m);
-    with_pred = Minstance.with_pred m;
-    with_pos_term = Minstance.with_pos_term m;
-    pos_term_count = Minstance.pos_term_count m;
-    snapshot = (fun () -> Minstance.snapshot m);
-  }
-
-let cinstance_store () =
-  let m = Cinstance.create () in
-  {
-    add = Cinstance.add m;
-    mem = Cinstance.mem m;
-    cardinal = (fun () -> Cinstance.cardinal m);
-    with_pred = Cinstance.with_pred m;
-    with_pos_term = Cinstance.with_pos_term m;
-    pos_term_count = Cinstance.pos_term_count m;
-    snapshot = (fun () -> Cinstance.snapshot m);
-  }
-
+(* Edge cases the columnar fact store must get right. *)
 let storage_tests =
-  let cases (name, make) =
-    [
-      Alcotest.test_case (name ^ ": 0-ary predicate") `Quick (fun () ->
-          let s = make () in
-          let p0 = Atom.make "p" [] in
-          Alcotest.(check bool) "new" true (s.add p0);
-          Alcotest.(check bool) "dup" false (s.add p0);
-          Alcotest.(check bool) "mem" true (s.mem p0);
-          Alcotest.(check int) "cardinal" 1 (s.cardinal ());
-          Alcotest.(check (list atom)) "with_pred" [ p0 ] (s.with_pred "p");
-          Alcotest.check instance "snapshot" (Instance.of_list [ p0 ]) (s.snapshot ()));
-      Alcotest.test_case (name ^ ": duplicate add straddling a snapshot boundary") `Quick
-        (fun () ->
-          let s = make () in
-          let at = a [ c "x"; c "y" ] in
-          Alcotest.(check bool) "first" true (s.add at);
-          let snap1 = s.snapshot () in
-          Alcotest.(check bool) "dup across snapshot" false (s.add at);
-          Alcotest.(check int) "cardinal" 1 (s.cardinal ());
-          Alcotest.check instance "snapshot unchanged" snap1 (s.snapshot ());
-          let at2 = a [ c "y"; c "x" ] in
-          Alcotest.(check bool) "new after snapshot" true (s.add at2);
-          Alcotest.check instance "snapshot grows" (Instance.add at2 snap1) (s.snapshot ()));
-      Alcotest.test_case (name ^ ": growth past initial capacity keeps indexes consistent")
-        `Quick (fun () ->
-          (* 100 rows over 101 distinct terms: columns, postings and the
-             interner all outgrow their initial capacities. *)
-          let s = make () in
-          let k i = c (Printf.sprintf "k%03d" i) in
-          let atoms = List.init 100 (fun i -> a [ k i; k (i + 1) ]) in
-          List.iter (fun at -> Alcotest.(check bool) "new" true (s.add at)) atoms;
-          Alcotest.(check int) "cardinal" 100 (s.cardinal ());
-          List.iteri
-            (fun i at ->
-              Alcotest.(check bool) "mem" true (s.mem at);
-              Alcotest.(check (list atom)) "indexed at pos 0" [ at ]
-                (s.with_pos_term "r" 0 (k i));
-              Alcotest.(check int) "count at pos 0" 1 (s.pos_term_count "r" 0 (k i)))
-            atoms;
-          Alcotest.check instance "snapshot" (Instance.of_list atoms) (s.snapshot ()));
-      Alcotest.test_case (name ^ ": with_pos_term on a never-seen term") `Quick (fun () ->
-          let s = make () in
-          ignore (s.add (a [ c "x"; c "y" ]));
-          Alcotest.(check (list atom)) "ghost term" [] (s.with_pos_term "r" 0 (c "ghost"));
-          Alcotest.(check int) "ghost count" 0 (s.pos_term_count "r" 0 (c "ghost"));
-          Alcotest.(check (list atom)) "ghost pred" [] (s.with_pos_term "zz" 0 (c "x"));
-          Alcotest.(check bool) "ghost mem" false (s.mem (a [ c "ghost"; c "y" ])));
-      Alcotest.test_case (name ^ ": one predicate at two arities") `Quick (fun () ->
-          let s = make () in
-          let one = a [ c "x" ] and two = a [ c "x"; c "y" ] in
-          Alcotest.(check bool) "arity 1" true (s.add one);
-          Alcotest.(check bool) "arity 2" true (s.add two);
-          Alcotest.(check int) "cardinal" 2 (s.cardinal ());
-          Alcotest.(check int) "with_pred sees both" 2 (List.length (s.with_pred "r"));
-          Alcotest.(check bool) "mem arity 1" true (s.mem one);
-          Alcotest.(check bool) "mem arity 2" true (s.mem two));
-    ]
-  in
-  List.concat_map cases [ ("minstance", minstance_store); ("cinstance", cinstance_store) ]
-  @ [
-      Alcotest.test_case "interner: dense ids survive growth past initial capacity" `Quick
-        (fun () ->
-          let it = Term_interner.create ~size_hint:1 () in
-          let terms = List.init 100 (fun i -> c (Printf.sprintf "k%02d" i)) in
-          (* after each doubling of the tables, every earlier id is
-             still found *)
-          let ids =
-            List.mapi
-              (fun i t ->
-                let id = Term_interner.intern it t in
-                if i land (i + 1) = 0 then
-                  List.iteri
-                    (fun j t' ->
-                      if j <= i then
-                        Alcotest.(check int) "found after growth" j (Term_interner.find it t'))
-                    terms;
-                id)
-              terms
-          in
-          Alcotest.(check (list int)) "dense ids" (List.init 100 Fun.id) ids;
-          List.iteri
-            (fun i t -> Alcotest.check term "roundtrip" t (Term_interner.term_of it i))
-            terms;
-          Alcotest.(check int) "cardinal" 100 (Term_interner.cardinal it);
-          Alcotest.(check int) "re-intern is stable" 7 (Term_interner.intern it (c "k07"));
-          Alcotest.(check int) "find on missing" (-1) (Term_interner.find it (c "zz")));
-      Alcotest.test_case "interner: Const and Null with one label get distinct ids" `Quick
-        (fun () ->
-          let it = Term_interner.create () in
-          let ic = Term_interner.intern it (c "a") and inull = Term_interner.intern it (n "a") in
-          Alcotest.(check bool) "distinct" true (ic <> inull);
-          Alcotest.(check int) "find const" ic (Term_interner.find it (c "a"));
-          Alcotest.(check int) "find null" inull (Term_interner.find it (n "a"));
-          Alcotest.check term "const back" (c "a") (Term_interner.term_of it ic);
-          Alcotest.check term "null back" (n "a") (Term_interner.term_of it inull));
-      Alcotest.test_case "cinstance: bulk-loaded 0-ary relation before and after an add" `Quick
-        (fun () ->
-          (* position 0 does not exist, so [mem] cannot go through the
-             base tier's ranges *)
-          let p0 = Atom.make "p" [] in
-          let ci = Cinstance.of_instance (Instance.of_list [ p0; a [ c "x" ] ]) in
-          Alcotest.(check bool) "mem before any add" true (Cinstance.mem ci p0);
-          Alcotest.(check bool) "other 0-ary" false (Cinstance.mem ci (Atom.make "q" []));
-          Alcotest.(check bool) "re-add is a dup" false (Cinstance.add ci p0);
-          Alcotest.(check bool) "mem after" true (Cinstance.mem ci p0);
-          Alcotest.(check int) "cardinal" 2 (Cinstance.cardinal ci));
-      Alcotest.test_case "cinstance: dedup table is built on the first add, not the load" `Quick
-        (fun () ->
-          let x = c "x" and y = c "y" and z = c "z" in
-          let db = Instance.of_list [ a [ x; y ]; a [ y; z ]; a ~p:"s" [ x; y ]; a ~p:"s" [ y; z ] ] in
-          let st = Obs.Stats.create () in
-          let counter = Obs.Stats.counter st in
-          Obs.with_sink (Obs.Stats.sink st) (fun () ->
-              let ci = Cinstance.of_instance db in
-              Alcotest.(check int) "load counts adds" 4 (counter "cinstance.add");
-              Alcotest.(check int) "no dedup table at load" 0 (counter "cinstance.rowset.build");
-              Alcotest.(check bool) "new r row" true (Cinstance.add ci (a [ z; x ]));
-              Alcotest.(check int) "built for r" 1 (counter "cinstance.rowset.build");
-              Alcotest.(check int) "r's base rows hashed" 2 (counter "cinstance.rowset.rows");
-              (* s has never been added to: its rows answer through the base tier *)
-              Alcotest.(check bool) "base row" true (Cinstance.mem ci (a ~p:"s" [ y; z ]));
-              Alcotest.(check bool) "base row, other" true (Cinstance.mem ci (a ~p:"s" [ x; y ]));
-              Alcotest.(check bool) "cells of two rows" false (Cinstance.mem ci (a ~p:"s" [ x; z ]));
-              Alcotest.(check bool) "swapped cells" false (Cinstance.mem ci (a ~p:"s" [ y; x ]));
-              Alcotest.(check bool) "never-interned term" false (Cinstance.mem ci (a ~p:"s" [ x; c "w" ]));
-              Alcotest.(check bool) "added row in r" true (Cinstance.mem ci (a [ z; x ]));
-              Alcotest.(check bool) "dup of an r base row" false (Cinstance.add ci (a [ y; z ]));
-              Alcotest.(check int) "s still unhashed" 1 (counter "cinstance.rowset.build");
-              Alcotest.(check bool) "dup of an s base row" false (Cinstance.add ci (a ~p:"s" [ x; y ]));
-              Alcotest.(check int) "built for s" 2 (counter "cinstance.rowset.build");
-              Alcotest.(check int) "rows hashed" 4 (counter "cinstance.rowset.rows");
-              Alcotest.(check int) "cardinal" 5 (Cinstance.cardinal ci)));
-      Alcotest.test_case "cinstance: find_id on a never-interned term" `Quick (fun () ->
-          let ci = Cinstance.of_instance (Instance.of_list [ a [ c "x"; c "y" ] ]) in
-          Alcotest.(check int) "ghost id" (-1) (Cinstance.find_id ci (c "ghost"));
-          Alcotest.(check bool) "seen id" true (Cinstance.find_id ci (c "x") >= 0));
-    ]
+  [
+    Alcotest.test_case "cinstance: 0-ary predicate" `Quick (fun () ->
+        let s = Cinstance.create () in
+        let p0 = Atom.make "p" [] in
+        Alcotest.(check bool) "new" true (Cinstance.add s p0);
+        Alcotest.(check bool) "dup" false (Cinstance.add s p0);
+        Alcotest.(check bool) "mem" true (Cinstance.mem s p0);
+        Alcotest.(check int) "cardinal" 1 (Cinstance.cardinal s);
+        Alcotest.(check (list atom)) "with_pred" [ p0 ] (Cinstance.with_pred s "p");
+        Alcotest.check instance "snapshot" (Instance.of_list [ p0 ]) (Cinstance.snapshot s));
+    Alcotest.test_case "cinstance: duplicate add straddling a snapshot boundary" `Quick
+      (fun () ->
+        let s = Cinstance.create () in
+        let at = a [ c "x"; c "y" ] in
+        Alcotest.(check bool) "first" true (Cinstance.add s at);
+        let snap1 = Cinstance.snapshot s in
+        Alcotest.(check bool) "dup across snapshot" false (Cinstance.add s at);
+        Alcotest.(check int) "cardinal" 1 (Cinstance.cardinal s);
+        Alcotest.check instance "snapshot unchanged" snap1 (Cinstance.snapshot s);
+        let at2 = a [ c "y"; c "x" ] in
+        Alcotest.(check bool) "new after snapshot" true (Cinstance.add s at2);
+        Alcotest.check instance "snapshot grows" (Instance.add at2 snap1) (Cinstance.snapshot s));
+    Alcotest.test_case "cinstance: growth past initial capacity keeps indexes consistent"
+      `Quick (fun () ->
+        (* 100 rows over 101 distinct terms: columns, postings and the
+           interner all outgrow their initial capacities. *)
+        let s = Cinstance.create () in
+        let k i = c (Printf.sprintf "k%03d" i) in
+        let atoms = List.init 100 (fun i -> a [ k i; k (i + 1) ]) in
+        List.iter (fun at -> Alcotest.(check bool) "new" true (Cinstance.add s at)) atoms;
+        Alcotest.(check int) "cardinal" 100 (Cinstance.cardinal s);
+        List.iteri
+          (fun i at ->
+            Alcotest.(check bool) "mem" true (Cinstance.mem s at);
+            Alcotest.(check (list atom)) "indexed at pos 0" [ at ]
+              (Cinstance.with_pos_term s "r" 0 (k i));
+            Alcotest.(check int) "count at pos 0" 1 (Cinstance.pos_term_count s "r" 0 (k i)))
+          atoms;
+        Alcotest.check instance "snapshot" (Instance.of_list atoms) (Cinstance.snapshot s));
+    Alcotest.test_case "cinstance: with_pos_term on a never-seen term" `Quick (fun () ->
+        let s = Cinstance.create () in
+        ignore (Cinstance.add s (a [ c "x"; c "y" ]));
+        Alcotest.(check (list atom)) "ghost term" [] (Cinstance.with_pos_term s "r" 0 (c "ghost"));
+        Alcotest.(check int) "ghost count" 0 (Cinstance.pos_term_count s "r" 0 (c "ghost"));
+        Alcotest.(check (list atom)) "ghost pred" [] (Cinstance.with_pos_term s "zz" 0 (c "x"));
+        Alcotest.(check bool) "ghost mem" false (Cinstance.mem s (a [ c "ghost"; c "y" ])));
+    Alcotest.test_case "cinstance: one predicate at two arities" `Quick (fun () ->
+        let s = Cinstance.create () in
+        let one = a [ c "x" ] and two = a [ c "x"; c "y" ] in
+        Alcotest.(check bool) "arity 1" true (Cinstance.add s one);
+        Alcotest.(check bool) "arity 2" true (Cinstance.add s two);
+        Alcotest.(check int) "cardinal" 2 (Cinstance.cardinal s);
+        Alcotest.(check int) "with_pred sees both" 2 (List.length (Cinstance.with_pred s "r"));
+        Alcotest.(check bool) "mem arity 1" true (Cinstance.mem s one);
+        Alcotest.(check bool) "mem arity 2" true (Cinstance.mem s two));
+    Alcotest.test_case "interner: dense ids survive growth past initial capacity" `Quick
+      (fun () ->
+        let it = Term_interner.create ~size_hint:1 () in
+        let terms = List.init 100 (fun i -> c (Printf.sprintf "k%02d" i)) in
+        (* after each doubling of the tables, every earlier id is
+           still found *)
+        let ids =
+          List.mapi
+            (fun i t ->
+              let id = Term_interner.intern it t in
+              if i land (i + 1) = 0 then
+                List.iteri
+                  (fun j t' ->
+                    if j <= i then
+                      Alcotest.(check int) "found after growth" j (Term_interner.find it t'))
+                  terms;
+              id)
+            terms
+        in
+        Alcotest.(check (list int)) "dense ids" (List.init 100 Fun.id) ids;
+        List.iteri
+          (fun i t -> Alcotest.check term "roundtrip" t (Term_interner.term_of it i))
+          terms;
+        Alcotest.(check int) "cardinal" 100 (Term_interner.cardinal it);
+        Alcotest.(check int) "re-intern is stable" 7 (Term_interner.intern it (c "k07"));
+        Alcotest.(check int) "find on missing" (-1) (Term_interner.find it (c "zz")));
+    Alcotest.test_case "interner: Const and Null with one label get distinct ids" `Quick
+      (fun () ->
+        let it = Term_interner.create () in
+        let ic = Term_interner.intern it (c "a") and inull = Term_interner.intern it (n "a") in
+        Alcotest.(check bool) "distinct" true (ic <> inull);
+        Alcotest.(check int) "find const" ic (Term_interner.find it (c "a"));
+        Alcotest.(check int) "find null" inull (Term_interner.find it (n "a"));
+        Alcotest.check term "const back" (c "a") (Term_interner.term_of it ic);
+        Alcotest.check term "null back" (n "a") (Term_interner.term_of it inull));
+    Alcotest.test_case "cinstance: bulk-loaded 0-ary relation before and after an add" `Quick
+      (fun () ->
+        (* position 0 does not exist, so [mem] cannot go through the
+           base tier's ranges *)
+        let p0 = Atom.make "p" [] in
+        let ci = Cinstance.of_instance (Instance.of_list [ p0; a [ c "x" ] ]) in
+        Alcotest.(check bool) "mem before any add" true (Cinstance.mem ci p0);
+        Alcotest.(check bool) "other 0-ary" false (Cinstance.mem ci (Atom.make "q" []));
+        Alcotest.(check bool) "re-add is a dup" false (Cinstance.add ci p0);
+        Alcotest.(check bool) "mem after" true (Cinstance.mem ci p0);
+        Alcotest.(check int) "cardinal" 2 (Cinstance.cardinal ci));
+    Alcotest.test_case "cinstance: dedup table is built on the first add, not the load" `Quick
+      (fun () ->
+        let x = c "x" and y = c "y" and z = c "z" in
+        let db = Instance.of_list [ a [ x; y ]; a [ y; z ]; a ~p:"s" [ x; y ]; a ~p:"s" [ y; z ] ] in
+        let st = Obs.Stats.create () in
+        let counter = Obs.Stats.counter st in
+        Obs.with_sink (Obs.Stats.sink st) (fun () ->
+            let ci = Cinstance.of_instance db in
+            Alcotest.(check int) "load counts adds" 4 (counter "cinstance.add");
+            Alcotest.(check int) "no dedup table at load" 0 (counter "cinstance.rowset.build");
+            Alcotest.(check bool) "new r row" true (Cinstance.add ci (a [ z; x ]));
+            Alcotest.(check int) "built for r" 1 (counter "cinstance.rowset.build");
+            Alcotest.(check int) "r's base rows hashed" 2 (counter "cinstance.rowset.rows");
+            (* s has never been added to: its rows answer through the base tier *)
+            Alcotest.(check bool) "base row" true (Cinstance.mem ci (a ~p:"s" [ y; z ]));
+            Alcotest.(check bool) "base row, other" true (Cinstance.mem ci (a ~p:"s" [ x; y ]));
+            Alcotest.(check bool) "cells of two rows" false (Cinstance.mem ci (a ~p:"s" [ x; z ]));
+            Alcotest.(check bool) "swapped cells" false (Cinstance.mem ci (a ~p:"s" [ y; x ]));
+            Alcotest.(check bool) "never-interned term" false (Cinstance.mem ci (a ~p:"s" [ x; c "w" ]));
+            Alcotest.(check bool) "added row in r" true (Cinstance.mem ci (a [ z; x ]));
+            Alcotest.(check bool) "dup of an r base row" false (Cinstance.add ci (a [ y; z ]));
+            Alcotest.(check int) "s still unhashed" 1 (counter "cinstance.rowset.build");
+            Alcotest.(check bool) "dup of an s base row" false (Cinstance.add ci (a ~p:"s" [ x; y ]));
+            Alcotest.(check int) "built for s" 2 (counter "cinstance.rowset.build");
+            Alcotest.(check int) "rows hashed" 4 (counter "cinstance.rowset.rows");
+            Alcotest.(check int) "cardinal" 5 (Cinstance.cardinal ci)));
+    Alcotest.test_case "cinstance: find_id on a never-interned term" `Quick (fun () ->
+        let ci = Cinstance.of_instance (Instance.of_list [ a [ c "x"; c "y" ] ]) in
+        Alcotest.(check int) "ghost id" (-1) (Cinstance.find_id ci (c "ghost"));
+        Alcotest.(check bool) "seen id" true (Cinstance.find_id ci (c "x") >= 0));
+  ]
 
 let property_tests =
   let open QCheck2 in

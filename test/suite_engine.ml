@@ -116,6 +116,36 @@ let unit_tests =
                   (Term.equal (Atom.arg a1 1) (Atom.arg a2 0))
             | _ -> Alcotest.fail "expected two produced atoms")
         | _ -> Alcotest.fail "expected one step");
+    Alcotest.test_case "backend names: compiled aliases the columnar store" `Quick (fun () ->
+        let contains haystack needle =
+          let nl = String.length needle and hl = String.length haystack in
+          let rec go i = i + nl <= hl && (String.sub haystack i nl = needle || go (i + 1)) in
+          go 0
+        in
+        List.iter
+          (fun b ->
+            match Backend.of_name (Backend.name b) with
+            | Ok b' -> Alcotest.(check string) "round-trips" (Backend.name b) (Backend.name b')
+            | Error e -> Alcotest.fail e)
+          Backend.all;
+        let store name =
+          match Store.backend_of_name name with
+          | Ok b -> Ok (Backend.name (b :> Backend.t))
+          | Error e -> Error e
+        in
+        let ok = Alcotest.(result string string) in
+        Alcotest.check ok "compiled echoed as given" (Ok "compiled") (store "compiled");
+        Alcotest.check ok "columnar echoed as given" (Ok "columnar") (store "columnar");
+        (match store "naive" with
+        | Ok _ -> Alcotest.fail "naive has no store"
+        | Error e ->
+            Alcotest.(check bool) "names both store choices" true
+              (contains e "compiled, columnar"));
+        match store "minstance" with
+        | Ok _ -> Alcotest.fail "unknown name accepted"
+        | Error e ->
+            Alcotest.(check bool) "lists every backend" true
+              (contains e "naive, compiled, columnar"));
   ]
 
 (* Fact 3.5: the head-extension activeness test coincides with the
@@ -142,9 +172,79 @@ let property_tests =
            (not (Derivation.terminated d)) || Tgd.satisfied_by_all (Derivation.final d) tgds));
   ]
 
+(* A fresh session adds a step's whole result before it discovers the
+   triggers of any produced atom, as [Restricted.run] does, so the two
+   derive the same instance literally, not just up to homomorphism.
+   Discovering per added atom instead reorders a batch when a multi-head
+   step's first atom joins with its second. *)
+let order_tests =
+  [
+    Alcotest.test_case "fresh session derives what Restricted.run does (multi-head)" `Quick
+      (fun () ->
+        let tgds, db =
+          program
+            "t0: r(Y,Z), a(X) -> exists E. s(X,E), r(Y,Y).\n\
+             t1: r(Z,Z) -> exists E. r(E,Z), a(E).\n\
+             b(c1). r(c1,c1). s(c2,c1)."
+        in
+        let d = Restricted.run ~naming:`Canonical tgds db in
+        let s = Incremental.create tgds db in
+        Alcotest.(check bool) "saturated" true (Incremental.chase s).Incremental.saturated;
+        Alcotest.check instance "same instance" (Derivation.final d) (Incremental.instance s));
+    QCheck_alcotest.to_alcotest
+      (QCheck2.Test.make ~name:"fresh session = Restricted.run, literally (multi-head sets)"
+         ~count:300
+         QCheck2.Gen.(
+           triple (list_size (int_range 1 3) Tgen.multi_head_tgd_gen) (int_bound 100_000)
+             (oneofl [ Restricted.Fifo; Restricted.Lifo; Restricted.Random 42 ]))
+         (fun (tgds, seed, strategy) ->
+           let db =
+             Chase_workload.Db_gen.random ~schema:(Schema.of_tgds tgds) ~atoms:5 ~domain:3 ~seed
+           in
+           let d = Restricted.run ~strategy ~max_steps:60 ~naming:`Canonical tgds db in
+           let s = Incremental.create ~strategy tgds db in
+           let o = Incremental.chase ~max_steps:60 s in
+           (* a session stops at its budget without draining the pool,
+              so a derivation that ends on exactly the 60th step is
+              Terminated while the session reports unsaturated *)
+           Instance.equal (Incremental.instance s) (Derivation.final d)
+           && o.Incremental.steps = Derivation.length d
+           &&
+           if Derivation.length d < 60 then o.Incremental.saturated = Derivation.terminated d
+           else not o.Incremental.saturated));
+    (* Retracting part of the database from a saturated multi-head
+       session and re-chasing ends in a model of what is left,
+       hom-equivalent to a scratch chase of it. *)
+    QCheck_alcotest.to_alcotest
+      (QCheck2.Test.make ~name:"retract then re-chase = scratch chase (multi-head sets)"
+         ~count:150
+         QCheck2.Gen.(
+           triple (list_size (int_range 1 3) Tgen.multi_head_tgd_gen) (int_bound 100_000)
+             (list_size (int_range 1 3) (int_bound 4)))
+         (fun (tgds, seed, picks) ->
+           let db =
+             Chase_workload.Db_gen.random ~schema:(Schema.of_tgds tgds) ~atoms:5 ~domain:3 ~seed
+           in
+           let s = Incremental.create tgds db in
+           let facts = Instance.to_list db in
+           facts = []
+           || (not (Incremental.chase ~max_steps:60 s).Incremental.saturated)
+           ||
+           let doomed = List.map (fun i -> List.nth facts (i mod List.length facts)) picks in
+           ignore (Incremental.retract_atoms s doomed);
+           let left = Incremental.base s in
+           let scratch = Restricted.run ~max_steps:60 ~naming:`Canonical tgds left in
+           (not (Incremental.chase ~max_steps:60 s).Incremental.saturated)
+           || (not (Derivation.terminated scratch))
+           || Instance.is_empty (Instance.inter left (Instance.of_list doomed))
+              && Model_check.is_model ~database:left ~tgds (Incremental.instance s)
+              && Model_check.hom_equivalent (Incremental.instance s) (Derivation.final scratch)));
+  ]
+
 (* Retraction in a resumable session (Incremental): delete what only
    dead steps derived, keep what survives, re-seed what a deleted atom
-   witnessed — on both stores. *)
+   witnessed — under both store names, which the session records as
+   given and runs on the one columnar store. *)
 let retract_tests =
   let atom = Chase_parser.Parser.parse_atom_exn in
   let scratch tgds db = Restricted.run_exn ~naming:`Canonical tgds db in
@@ -157,6 +257,12 @@ let retract_tests =
     Alcotest.(check int) "scratch cardinality" (Instance.cardinal (scratch tgds base))
       (Incremental.cardinal s)
   in
+  let create backend tgds db =
+    let s = Incremental.create ~backend tgds db in
+    Alcotest.(check string) "backend recorded as given" (Backend.name (backend :> Backend.t))
+      (Backend.name (Incremental.backend s :> Backend.t));
+    s
+  in
   let chase_steps s =
     let o = Incremental.chase s in
     Alcotest.(check bool) "saturated" true o.Incremental.saturated;
@@ -164,7 +270,7 @@ let retract_tests =
   in
   let refire backend () =
     let tgds, db = program "p(X) -> exists Y. q(X,Y).\np(a). q(a,b)." in
-    let s = Incremental.create ~backend tgds db in
+    let s = create backend tgds db in
     Alcotest.(check int) "q(a,b) witnesses the head" 0 (chase_steps s);
     Alcotest.(check int) "removed" 1 (Incremental.retract_atoms s [ atom "q(a,b)" ]);
     Alcotest.(check int) "only p(a) left" 1 (Incremental.cardinal s);
@@ -174,7 +280,7 @@ let retract_tests =
   in
   let derived_base backend () =
     let tgds, db = program "p(X) -> exists Y. q(X), s(X,Y).\np(a). q(a)." in
-    let s = Incremental.create ~backend tgds db in
+    let s = create backend tgds db in
     Alcotest.(check int) "one step" 1 (chase_steps s);
     Alcotest.(check int) "removed" 1 (Incremental.retract_atoms s [ atom "q(a)" ]);
     Alcotest.(check bool) "q(a) left the base" false (Instance.mem (atom "q(a)") (Incremental.base s));
@@ -194,7 +300,7 @@ let retract_tests =
          e(a,b). e(b,c)."
     in
     let batch = [ atom "e(c,d)"; atom "e(d,f)" ] in
-    let s = Incremental.create ~backend tgds db in
+    let s = create backend tgds db in
     ignore (chase_steps s);
     let loaded = Incremental.instance s in
     Alcotest.(check int) "asserted" 2 (Incremental.assert_atoms s batch);
@@ -212,7 +318,7 @@ let retract_tests =
   (* the store is compacted in place: no span of the retract loads one *)
   let no_reload backend () =
     let tgds, db = program "e(X,Y) -> r(X,Y).\nr(X,Y), e(Y,Z) -> r(X,Z).\ne(a,b). e(b,c)." in
-    let s = Incremental.create ~backend tgds db in
+    let s = create backend tgds db in
     ignore (chase_steps s);
     let st = Obs.Stats.create () in
     Obs.with_sink (Obs.Stats.sink st) (fun () ->
@@ -243,4 +349,4 @@ let retract_tests =
           `Quick (no_reload backend))
       [ `Compiled; `Columnar ]
 
-let suite = [ ("engine", unit_tests @ property_tests @ retract_tests) ]
+let suite = [ ("engine", unit_tests @ property_tests @ order_tests @ retract_tests) ]

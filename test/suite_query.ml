@@ -123,17 +123,11 @@ let query_gen =
   return (Conjunctive_query.make ~answer_vars ~body ())
 
 let sources inst =
-  let added_c = Cinstance.create () and added_m = Minstance.create () in
-  Instance.iter
-    (fun a ->
-      ignore (Cinstance.add added_c a);
-      ignore (Minstance.add added_m a))
-    inst;
+  let added_c = Cinstance.create () in
+  Instance.iter (fun a -> ignore (Cinstance.add added_c a)) inst;
   let open Chase_engine.Plan in
   [
     ("instance", source_of_instance inst);
-    ("minstance", source_of_minstance (Minstance.of_instance inst));
-    ("minstance by adds", source_of_minstance added_m);
     ("cinstance", source_of_cinstance (Cinstance.of_instance inst));
     ("cinstance by adds", source_of_cinstance added_c);
   ]

@@ -445,6 +445,39 @@ let test_id_echo () =
   let r = ask srv {|{"id": 42, "op": "stats", "session": "s"}|} in
   Alcotest.(check int) "id echoed on success" 42 (get_int r [ "id" ])
 
+(* "compiled" and "columnar" name one store: a session echoes the name
+   it was given, in the load reply and in stats, and answers alike;
+   "naive" has no store and is refused. *)
+let test_backend_alias () =
+  let srv = server ~backend:`Columnar () in
+  let answers session =
+    check_ok (op ~session srv "chase");
+    let r = op ~session ~extra:[ ("query", Json.Str "r(a,Y) -> ans(Y).") ] srv "query" in
+    check_ok r;
+    Json.to_string (get r [ "answers" ])
+  in
+  let load_as session backend =
+    ask srv
+      (req
+         ([ ("op", Json.Str "load-program"); ("session", Json.Str session);
+            ("program", Json.Str tc_program) ]
+         @ match backend with Some b -> [ ("backend", Json.Str b) ] | None -> []))
+  in
+  List.iter
+    (fun (session, backend, expect) ->
+      let r = load_as session backend in
+      check_ok r;
+      Alcotest.(check string) ("load echoes " ^ expect) expect (get_str r [ "backend" ]);
+      Alcotest.(check string) ("stats echo " ^ expect) expect
+        (get_str (op ~session srv "stats") [ "backend" ]))
+    [ ("c", Some "compiled", "compiled"); ("k", Some "columnar", "columnar");
+      ("d", None, "columnar") ];
+  let expect = answers "k" in
+  Alcotest.(check string) "compiled answers as columnar" expect (answers "c");
+  Alcotest.(check string) "default answers as columnar" expect (answers "d");
+  check_error "invalid-request" (load_as "n" (Some "naive"));
+  check_error "invalid-request" (load_as "n" (Some "minstance"))
+
 (* --- transport hygiene ------------------------------------------------ *)
 
 let test_stale_socket_guard () =
@@ -558,6 +591,8 @@ let suite =
           test_sessions_keep_no_plans;
         Alcotest.test_case "decide: fixed, starved budget, portfolio" `Quick test_decide_op;
         Alcotest.test_case "request ids echo into replies" `Quick test_id_echo;
+        Alcotest.test_case "compiled is echoed as given and answers as columnar" `Quick
+          test_backend_alias;
         Alcotest.test_case "stale-socket unlink refuses non-sockets" `Quick
           test_stale_socket_guard;
         Alcotest.test_case "SERVICE.md covers every op and error code" `Quick

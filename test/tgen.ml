@@ -44,6 +44,14 @@ let tgd_gen =
   (* make sure head has some connection or existential; any var atom works *)
   return (Tgd.make ~name:"q" ~body ~head:[ head0 ] ())
 
+(* Like [tgd_gen] with one or two head atoms, so a step can produce an
+   atom that joins with another atom of its own result. *)
+let multi_head_tgd_gen =
+  let open QCheck2.Gen in
+  let* body = list_size (int_range 1 2) var_atom_gen in
+  let* head = list_size (int_range 1 2) var_atom_gen in
+  return (Tgd.make ~name:"q" ~body ~head ())
+
 let substitution_gen =
   let open QCheck2.Gen in
   let* pairs =
