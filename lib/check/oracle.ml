@@ -51,7 +51,7 @@ let status_name = function
   | Derivation.Out_of_budget -> "out-of-budget"
 
 (* Bit-identical derivations: status, step triggers, produced atoms,
-   final instance. *)
+   frontier terms, final instance. *)
 let compare_derivations ~invariant ~what d1 d2 =
   if Derivation.status d1 <> Derivation.status d2 then
     fail invariant "%s: status %s vs %s" what
@@ -65,7 +65,8 @@ let compare_derivations ~invariant ~what d1 d2 =
         (fun (s1, s2) ->
           not
             (Trigger.equal s1.Derivation.trigger s2.Derivation.trigger
-            && List.equal Atom.equal s1.Derivation.produced s2.Derivation.produced))
+            && List.equal Atom.equal s1.Derivation.produced s2.Derivation.produced
+            && Term.Set.equal s1.Derivation.frontier s2.Derivation.frontier))
         (List.combine (Derivation.steps d1) (Derivation.steps d2))
     in
     match diverging with
@@ -99,30 +100,39 @@ let check_stop_relation ~what tgds d =
         end)
       (List.mapi (fun k s -> (k, s)) steps)
 
+let naming_name = function `Fresh -> "fresh" | `Canonical -> "canonical"
+
+(* Both null namings: [`Fresh] is the default of [chasectl chase] and of
+   [Restricted.run], [`Canonical] the one the model, stop-relation and
+   ochase checks read. *)
 let check_restricted ~pool ~budgets tgds db =
   let max_steps = budgets.restricted_steps in
   List.concat_map
     (fun strategy ->
       let sname = Restricted.strategy_name strategy in
       guarded (Printf.sprintf "restricted(%s)" sname) @@ fun () ->
-      let run ?pool backend =
-        Restricted.run ~backend ~strategy ~max_steps ~naming:`Canonical ?pool tgds db
+      let run ?pool naming backend =
+        Restricted.run ~backend ~strategy ~max_steps ~naming ?pool tgds db
       in
-      let d_naive = run `Naive in
-      let d_store = run `Columnar in
-      let agree =
+      let d_naive = run `Canonical `Naive in
+      let d_store = run `Canonical `Columnar in
+      let agree_jobs naming d_naive d_store =
+        let nname = naming_name naming in
         compare_derivations ~invariant:"backend-agreement"
-          ~what:(Printf.sprintf "restricted/%s naive-vs-columnar" sname)
+          ~what:(Printf.sprintf "restricted/%s/%s naive-vs-columnar" sname nname)
           d_naive d_store
-      in
-      let jobs =
+        @
         if not (Chase_exec.Pool.is_parallel pool) then []
         else
           compare_derivations ~invariant:"jobs-agreement"
             ~what:
-              (Printf.sprintf "restricted/%s/columnar jobs=1-vs-jobs=%d" sname
+              (Printf.sprintf "restricted/%s/%s/columnar jobs=1-vs-jobs=%d" sname nname
                  (Chase_exec.Pool.jobs pool))
-            d_store (run ~pool `Columnar)
+            d_store (run ~pool naming `Columnar)
+      in
+      let agree =
+        agree_jobs `Canonical d_naive d_store
+        @ agree_jobs `Fresh (run `Fresh `Naive) (run `Fresh `Columnar)
       in
       let valid =
         List.concat_map
@@ -137,7 +147,7 @@ let check_restricted ~pool ~budgets tgds db =
         else fail "model" "restricted/%s terminated on a non-model" sname
       in
       let stop = check_stop_relation ~what:(Printf.sprintf "restricted/%s" sname) tgds d_naive in
-      agree @ jobs @ valid @ model @ stop)
+      agree @ valid @ model @ stop)
     strategies
 
 let check_oblivious ~budgets tgds db =

@@ -8,11 +8,12 @@
     Invariants checked (names appear in {!discrepancy.invariant}):
 
     - [backend-agreement] — the naive and the columnar-store restricted
-      runs are bit-identical (status, triggers, produced atoms, final
-      instance) for every strategy; same pair for the oblivious
-      variants.  The naive run is the reference.
+      runs are bit-identical (status, triggers, produced atoms,
+      frontier terms, final instance) for every strategy, under both
+      null namings ([`Fresh] and [`Canonical]); same pair for the
+      oblivious variants.  The naive run is the reference.
     - [jobs-agreement] — a parallel pool run equals the sequential one
-      on the columnar store.
+      on the columnar store, under both namings.
     - [derivation-valid] — every step applied an active trigger to the
       previous instance ([Derivation.validate]).
     - [model] — a terminated restricted run's final instance is a model

@@ -549,7 +549,8 @@ let rebuild_tiers r =
 (* Compact the interner to the terms the rows still use, renumbering
    every cell.  The renaming keeps id order, so a base tier over
    renamed cells stays sorted; the hash tier and the rowset are keyed
-   by old ids, so a relation holding either is rebuilt. *)
+   by old ids, so a relation holding either is rebuilt.  Returns the
+   renaming. *)
 let compact_terms c =
   let n = Term_interner.cardinal c.interner in
   let live = Bytes.make n '\000' in
@@ -565,7 +566,8 @@ let compact_terms c =
     rels;
   let dead = ref 0 in
   Bytes.iter (fun b -> if b = '\000' then incr dead) live;
-  if !dead > 0 then begin
+  if !dead = 0 then Fun.id
+  else begin
     Obs.count "cinstance.compact.terms" !dead;
     let remap = Term_interner.compact c.interner live in
     List.iter
@@ -582,7 +584,8 @@ let compact_terms c =
             done)
           r.cols;
         if !changed && (r.base_n < r.nrows || r.hashed > 0) then rebuild_tiers r)
-      rels
+      rels;
+    Array.get remap
   end
 
 let remove c atoms =
@@ -606,7 +609,8 @@ let remove c atoms =
             Bytes.set marks row '\001'
           end)
     atoms;
-  if not (List.is_empty !doomed) then begin
+  if List.is_empty !doomed then Fun.id
+  else begin
     (* slide the surviving rows down, keeping their order *)
     let removed = ref 0 in
     List.iter

@@ -99,8 +99,11 @@ val snapshot : t -> Instance.t
     relation and a renaming over the interned terms, and rebuilt tiers
     are sized as a bulk load sizes them.  Columns keep their capacity.
     Counts [cinstance.compact.rows] (rows removed) and
-    [cinstance.compact.terms] (terms dropped from the interner). *)
-val remove : t -> Atom.t list -> unit
+    [cinstance.compact.terms] (terms dropped from the interner).
+    Returns the renaming: the new id of every id a surviving row holds
+    (the identity when no term was dropped), so a caller holding ids
+    across the call can re-key them. *)
+val remove : t -> Atom.t list -> int -> int
 
 (** {1 Low-level columnar access}
 

@@ -3,11 +3,11 @@
 
    The state is exactly what [Restricted.run] keeps on its stack,
    lifted into a value that survives between calls: the columnar store
-   and its plan source, the compiled plans, the head memo, and
-   the pending-candidate pool (the trigger frontier).  [assert_atoms]
-   is the semi-naive delta step: each genuinely new atom seeds
-   [Plan.iter_delta_homs], so only triggers whose body uses a new atom
-   ever enter the pool — never a full re-enumeration.  Monotonicity
+   and its plan source, the ranked plans ({!Candidate.run}), the head
+   memo, and the pending-candidate pool (the trigger frontier, as id
+   keys).  [assert_atoms] is the semi-naive delta step: each genuinely
+   new atom seeds [Candidate.delta], so only triggers whose body uses a
+   new atom ever enter the pool — never a full re-enumeration.  Monotonicity
    makes this complete: an instance only grows, so a trigger found
    inactive (or applied) before the assert stays inactive forever, and
    every trigger that could have become active matches a new atom.
@@ -17,7 +17,8 @@
    keeps the steps whose body is still derivable from the surviving
    base, the atoms only dead steps derived are deleted, and the
    triggers whose head one of the deleted atoms may have witnessed are
-   re-seeded through [Plan.iter_witness_homs].
+   re-seeded through [Candidate.witness].  A logged step keeps its
+   [Trigger.t]: the removal renumbers ids, a trigger's terms stay.
 
    Nulls are always canonical (Def 3.1, [gen = None]): a trigger firing
    before or after a resume produces the same atom, so resumed runs
@@ -56,12 +57,11 @@ type t = {
   tgds : Tgd.t list;
   strategy : Restricted.strategy;
   backend : Store.backend;
-  plans : (Tgd.t * Plan.t) list;
+  run : Candidate.run;  (* the ranked plans over [facts] *)
   mutable base : Instance.t;  (* accumulated asserted facts *)
   facts : Cinstance.t;  (* the chase result so far *)
-  source : Plan.source;  (* [facts] as a plan source *)
   mutable memo : Plan.Head_memo.t;
-  mutable pool : Restricted.Pool.t;
+  mutable pool : Restricted.Cand_pool.t;
   mutable saturated : bool;
   mutable warm : bool;  (* some chase saturated since the last retraction *)
   mutable log : step array;  (* applied triggers, oldest first *)
@@ -71,22 +71,8 @@ type t = {
   mutable chases : int;
 }
 
-let plan_of t tgd =
-  match List.find_opt (fun (x, _) -> x == tgd) t.plans with
-  | Some (_, p) -> p
-  | None -> Plan.of_tgd tgd
-
-(* Seed the pool with every trigger on the database — the cold start. *)
-let seed_pool t =
-  let batch = ref [] in
-  List.iter
-    (fun (tgd, p) ->
-      Plan.iter_homs p t.source (fun hom -> batch := Trigger.make tgd hom :: !batch))
-    t.plans;
-  Restricted.Pool.push_batch t.pool !batch
-
 let create ?(strategy = Restricted.Fifo) ?(backend = `Columnar) tgds database =
-  let { Store.facts; source } = Store.of_instance backend database in
+  let facts = (Store.of_instance backend database).facts in
   let t =
     {
       tgds;
@@ -94,12 +80,13 @@ let create ?(strategy = Restricted.Fifo) ?(backend = `Columnar) tgds database =
       backend;
       (* the session's own plans, not [Plan.of_tgd]'s process-wide
          cache, which would keep them after the session is gone *)
-      plans = List.map (fun tgd -> (tgd, Plan.compile tgd)) tgds;
+      run =
+        Candidate.create (Plan.csource facts)
+          (List.map (fun tgd -> (tgd, Plan.compile tgd)) tgds);
       base = database;
       facts;
-      source;
       memo = Plan.Head_memo.create ();
-      pool = Restricted.Pool.create strategy;
+      pool = Restricted.Cand_pool.create strategy;
       saturated = false;
       warm = false;
       log = [||];
@@ -109,7 +96,8 @@ let create ?(strategy = Restricted.Fifo) ?(backend = `Columnar) tgds database =
       chases = 0;
     }
   in
-  seed_pool t;
+  (* the cold start: every trigger on the database *)
+  Restricted.Cand_pool.push_batch t.pool (Candidate.seed t.run);
   t
 
 let tgds t = t.tgds
@@ -117,9 +105,9 @@ let base t = t.base
 let backend t = t.backend
 let instance t = Cinstance.snapshot t.facts
 let mem t atom = Cinstance.mem t.facts atom
-let source t = t.source
+let source t = Candidate.source t.run
 let cardinal t = Cinstance.cardinal t.facts
-let pending t = Restricted.Pool.size t.pool
+let pending t = Restricted.Cand_pool.size t.pool
 let saturated t = t.saturated
 let warm t = t.warm
 let steps_total t = t.steps_total
@@ -129,14 +117,7 @@ let retractions t = t.retractions
 (* Delta discovery for one atom: one [plan.delta.seed] pass per plan,
    pushed as a canonically sorted batch (same discipline as
    [Restricted.run]). *)
-let discover_delta t atom =
-  let batch = ref [] in
-  List.iter
-    (fun (tgd, p) ->
-      Plan.iter_delta_homs p t.source atom (fun hom ->
-          batch := Trigger.make tgd hom :: !batch))
-    t.plans;
-  Restricted.Pool.push_batch t.pool !batch
+let discover_delta t atom = Restricted.Cand_pool.push_batch t.pool (Candidate.delta t.run atom)
 
 let assert_atoms t atoms =
   let added =
@@ -199,33 +180,28 @@ let over_delete t retracted =
   t.log_len <- !kept;
   gone
 
-(* Replay: remove the deleted atoms from the store in place, keep the
-   pending triggers whose body survived in a fresh pool (the old pool's
-   dedup set remembers every trigger it ever saw, and would drop the
-   ones a later assert rediscovers), and push every trigger a deleted
-   atom may have witnessed the head of. *)
+(* Replay: keep the pending candidates whose body survived, remove the
+   deleted atoms from the store in place, and re-key the kept ones
+   across the id renumbering the removal does (a surviving body keeps
+   its terms interned) into a fresh pool (the old pool's dedup set
+   remembers every candidate it ever saw, and would drop the ones a
+   later assert rediscovers); then push every candidate a deleted atom
+   may have witnessed the head of. *)
 let replay t gone =
   let deleted = List.sort Atom.compare (AtomTbl.fold (fun a () acc -> a :: acc) gone []) in
-  Cinstance.remove t.facts deleted;
   let pending = ref [] in
-  Restricted.Pool.iter t.pool (fun trigger ->
-      if not (List.exists (AtomTbl.mem gone) (body_of trigger)) then
-        pending := trigger :: !pending);
-  t.pool <- Restricted.Pool.create t.strategy;
-  Restricted.Pool.push_batch t.pool !pending;
-  let kept = Restricted.Pool.size t.pool in
+  Restricted.Cand_pool.iter t.pool (fun c ->
+      if not (List.exists (AtomTbl.mem gone) (Candidate.body t.run c)) then pending := c :: !pending);
+  let rename = Cinstance.remove t.facts deleted in
+  let pending = List.map (Candidate.rename rename) !pending in
+  t.pool <- Restricted.Cand_pool.create t.strategy;
+  Restricted.Cand_pool.push_batch t.pool (List.sort (Candidate.compare t.run) pending);
+  let kept = Restricted.Cand_pool.size t.pool in
   List.iter
-    (fun atom ->
-      let batch = ref [] in
-      List.iter
-        (fun (tgd, p) ->
-          Plan.iter_witness_homs p t.source atom (fun hom ->
-              batch := Trigger.make tgd hom :: !batch))
-        t.plans;
-      Restricted.Pool.push_batch t.pool !batch)
+    (fun atom -> Restricted.Cand_pool.push_batch t.pool (Candidate.witness t.run atom))
     deleted;
   Obs.count "session.retract.deleted" (List.length deleted);
-  Obs.count "session.retract.reseeded" (Restricted.Pool.size t.pool - kept);
+  Obs.count "session.retract.reseeded" (Restricted.Cand_pool.size t.pool - kept);
   t.memo <- Plan.Head_memo.create ()
 
 let retract_atoms t atoms =
@@ -247,10 +223,7 @@ let chase ?(epool = Exec.inline) ?(max_steps = default_max_steps) ?deadline ?max
   Obs.span "session.chase" @@ fun () ->
   let incremental = t.warm in
   t.chases <- t.chases + 1;
-  let next_active =
-    Restricted.make_next_active ~epool ~plan_of:(plan_of t) ~src:t.source
-      ~memo:t.memo t.pool
-  in
+  let next_active = Restricted.make_next_active ~epool ~run:t.run ~memo:t.memo t.pool in
   let over_deadline =
     match deadline with
     | None -> fun _ -> false
@@ -271,15 +244,15 @@ let chase ?(epool = Exec.inline) ?(max_steps = default_max_steps) ?deadline ?max
           t.saturated <- true;
           t.warm <- true;
           (steps, None)
-      | Some trigger ->
+      | Some c ->
           (* add the whole result, then discover for every produced
              atom: [Restricted.run]'s order, so a fresh session derives
              what [Restricted.run ~naming:`Canonical] does *)
-          let produced = Trigger.result trigger in
+          let produced, _ = Candidate.instantiate t.run c in
           let owned = List.filter (Cinstance.add t.facts) produced in
           List.iter (discover_delta t) produced;
           let owned = if List.compare_lengths owned produced = 0 then produced else owned in
-          log_step t { trigger; produced; owned };
+          log_step t { trigger = Candidate.trigger t.run c; produced; owned };
           Obs.incr "session.steps";
           go (steps + 1)
   in

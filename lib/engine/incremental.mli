@@ -41,7 +41,7 @@
     - otherwise a deleted atom matched one of its head atoms with the
       trigger's frontier values, so enumerating body homomorphisms with
       the frontier bound from each deleted atom
-      ({!Plan.iter_witness_homs}) finds it again.
+      ({!Plan.iter_witness_keys}) finds it again.
     The head memo is reset (head satisfaction is not anti-monotone) and
     the pool is fresh (its dedup set would drop triggers a later assert
     rediscovers).  The next chase therefore saturates to a model in

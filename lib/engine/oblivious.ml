@@ -29,30 +29,27 @@ type result = {
   saturated : bool;  (* false when the step budget ran out *)
 }
 
-module TrigTbl = Hashtbl.Make (Trigger)
-
 let default_max_steps = 10_000
 
-(* Key under which a trigger is remembered as applied. *)
-let applied_key variant trigger =
-  match variant with
-  | Oblivious -> trigger
-  | Semi_oblivious -> Trigger.make (Trigger.tgd trigger) (Trigger.frontier_hom trigger)
-
-(* Shared queue discipline: dedup by applied-key, enqueue sorted batches. *)
-let make_enqueue variant queue =
-  let applied = TrigTbl.create 256 in
+(* Shared queue discipline: enqueue canonically sorted batches, dedup
+   by the key a candidate is remembered under as applied — the
+   oblivious chase keys the whole trigger, the semi-oblivious one its
+   TGD and frontier image.  [Tbl] hashes the element type, [key] maps a
+   candidate to its applied-key.  The naive engine queues [Trigger.t]s,
+   the store engine {!Candidate} keys. *)
+let make_enqueue (type k) (module Tbl : Hashtbl.S with type key = k) ~key queue =
+  let applied = Tbl.create 256 in
   fun ts ->
     List.iter
       (fun t ->
-        let key = applied_key variant t in
-        if TrigTbl.mem applied key then Obs.incr "oblivious.dup"
+        let k = key t in
+        if Tbl.mem applied k then Obs.incr "oblivious.dup"
         else begin
           Obs.incr "oblivious.enqueue";
-          TrigTbl.add applied key ();
+          Tbl.add applied k ();
           Queue.add t queue
         end)
-      (List.sort Trigger.compare ts)
+      ts
 
 let variant_name = function Oblivious -> "oblivious" | Semi_oblivious -> "semi_oblivious"
 
@@ -76,10 +73,20 @@ let obs_done (r : result) =
         ("atoms", Obs.Int (Instance.cardinal r.instance));
       ]
 
+module TrigTbl = Hashtbl.Make (Trigger)
+
 let run_naive ~variant ~max_steps tgds database =
   let queue = Queue.create () in
-  let enqueue = make_enqueue variant queue in
-  enqueue (List.of_seq (Trigger.all_naive tgds database));
+  let key t =
+    match variant with
+    | Oblivious -> t
+    | Semi_oblivious -> Trigger.make (Trigger.tgd t) (Trigger.frontier_hom t)
+  in
+  let enqueue =
+    let enqueue = make_enqueue (module TrigTbl) ~key queue in
+    fun ts -> enqueue (List.sort Trigger.compare (List.of_seq ts))
+  in
+  enqueue (Trigger.all_naive tgds database);
   let rec loop instance n =
     if Queue.is_empty queue then { instance; applications = n; saturated = true }
     else if n >= max_steps then { instance; applications = n; saturated = false }
@@ -91,43 +98,36 @@ let run_naive ~variant ~max_steps tgds database =
       List.iter
         (fun atom ->
           if not (Instance.mem atom instance) then
-            enqueue (List.of_seq (Trigger.involving_naive tgds after atom)))
+            enqueue (Trigger.involving_naive tgds after atom))
         produced;
       loop after (n + 1)
   in
   loop database 0
 
 let run_store ~backend ~variant ~max_steps tgds database =
-  let { Store.facts; source = src } = Store.of_instance backend database in
-  let plans = List.map (fun tgd -> (tgd, Plan.of_tgd tgd)) tgds in
+  let facts = (Store.of_instance backend database).facts in
+  let run =
+    Candidate.create (Plan.csource facts) (List.map (fun tgd -> (tgd, Plan.of_tgd tgd)) tgds)
+  in
   let queue = Queue.create () in
-  let enqueue = make_enqueue variant queue in
-  let seed = ref [] in
-  List.iter
-    (fun (tgd, p) -> Plan.iter_homs p src (fun hom -> seed := Trigger.make tgd hom :: !seed))
-    plans;
-  enqueue !seed;
+  let key =
+    match variant with Oblivious -> Fun.id | Semi_oblivious -> Candidate.frontier_key run
+  in
+  let enqueue = make_enqueue (module Candidate.Tbl) ~key queue in
+  enqueue (Candidate.seed run);
   let snapshot () = Cinstance.snapshot facts in
   let rec loop n =
     if Queue.is_empty queue then { instance = snapshot (); applications = n; saturated = true }
     else if n >= max_steps then { instance = snapshot (); applications = n; saturated = false }
     else begin
-      let trigger = Queue.pop queue in
+      let c = Queue.pop queue in
       Obs.incr "oblivious.applications";
-      let produced = Trigger.result trigger in
+      let produced, _ = Candidate.instantiate run c in
       (* Add everything first (applications are simultaneous), remember
          which atoms were genuinely new. *)
       let fresh = List.filter (Cinstance.add facts) produced in
       Obs.count "oblivious.fresh_atoms" (List.length fresh);
-      List.iter
-        (fun atom ->
-          let batch = ref [] in
-          List.iter
-            (fun (tgd, p) ->
-              Plan.iter_delta_homs p src atom (fun hom -> batch := Trigger.make tgd hom :: !batch))
-            plans;
-          enqueue !batch)
-        fresh;
+      List.iter (fun atom -> enqueue (Candidate.delta run atom)) fresh;
       loop (n + 1)
     end
   in

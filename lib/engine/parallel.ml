@@ -15,9 +15,9 @@
    its round began.
 
    Candidates are discovered incrementally with compiled plans over the
-   interned columnar store ({!Chase_core.Cinstance}): one
-   [Plan.iter_homs] seed for the database, then
-   [Plan.iter_delta_homs] per atom actually added — never a full
+   interned columnar store ({!Chase_core.Cinstance}), as id keys
+   ({!Candidate}): one seed for the database, then one delta
+   discovery per atom actually added — never a full
    re-enumeration per round.  A candidate leaves the set for good once
    applied (its own head atoms satisfy it) or found inactive (activity
    is monotone downwards), so each round tests exactly the candidates
@@ -49,45 +49,40 @@ type result = {
 let default_max_rounds = 1_000
 let max_round_triggers = 100_000
 
-module TrigTbl = Hashtbl.Make (Trigger)
-
 exception Round_bound
 
 (* Canonical null naming (Def 3.1) throughout: atom identities then
    persist across rounds and into {!Sequentialize}, and a trigger firing
-   in two different rounds produces the same atom. *)
+   in two different rounds produces the same atom.  Candidates are
+   {!Candidate} keys; only the applied ones become [Trigger.t]s. *)
 let run ?(max_rounds = default_max_rounds) ?(pool = Exec.inline) tgds database =
   let facts = Cinstance.of_instance database in
-  let src = Plan.source_of_cinstance facts in
-  let plans = List.map (fun tgd -> (tgd, Plan.of_tgd tgd)) tgds in
-  let plan_of tgd =
-    match List.find_opt (fun (t, _) -> t == tgd) plans with
-    | Some (_, p) -> p
-    | None -> Plan.of_tgd tgd
+  let run =
+    Candidate.create (Plan.csource facts)
+      (List.map (fun tgd -> (tgd, Plan.of_tgd tgd)) tgds)
   in
-  let seen = TrigTbl.create 256 in
+  let seen = Candidate.Tbl.create 256 in
   let discovered = ref [] in
   let found = ref 0 in
-  let discover tgd hom =
-    let t = Trigger.make tgd hom in
-    if not (TrigTbl.mem seen t) then begin
+  let discover c =
+    if not (Candidate.Tbl.mem seen c) then begin
       if !found >= max_round_triggers then raise Round_bound;
       incr found;
-      TrigTbl.add seen t ();
-      discovered := t :: !discovered
+      Candidate.Tbl.add seen c ();
+      discovered := c :: !discovered
     end
   in
   let unsaturated rounds =
     { database; rounds = List.rev rounds; final = Cinstance.snapshot facts; saturated = false }
   in
-  let is_active t = not (Plan.head_satisfied (plan_of (Trigger.tgd t)) src (Trigger.hom t)) in
+  let is_active c = not (Candidate.head_satisfied run c) in
   let rec go candidates rounds i =
     if i >= max_rounds then unsaturated rounds
     else begin
-      let cands = Array.of_list (List.sort Trigger.compare candidates) in
+      let cands = Array.of_list (List.sort (Candidate.compare run) candidates) in
       let verdicts = Exec.map_array pool is_active cands in
       let active = ref [] in
-      Array.iteri (fun j t -> if verdicts.(j) then active := t :: !active) cands;
+      Array.iteri (fun j c -> if verdicts.(j) then active := c :: !active) cands;
       let active = List.rev !active in
       match active with
       | [] -> { database; rounds = List.rev rounds; final = Cinstance.snapshot facts; saturated = true }
@@ -99,24 +94,21 @@ let run ?(max_rounds = default_max_rounds) ?(pool = Exec.inline) tgds database =
           (* once the bound trips, the round's remaining atoms are still
              added, so the recorded round is complete *)
           let bounded = ref false in
+          let applied = List.map (Candidate.trigger run) active in
           List.iter
-            (fun trigger ->
+            (fun c ->
               List.iter
                 (fun atom ->
                   if Cinstance.add facts atom && not !bounded then
-                    try
-                      List.iter
-                        (fun (tgd, p) ->
-                          Plan.iter_delta_homs p src atom (fun hom -> discover tgd hom))
-                        plans
+                    try Candidate.iter_delta run atom discover
                     with Round_bound -> bounded := true)
-                (Trigger.result trigger))
+                (fst (Candidate.instantiate run c)))
             active;
-          let rounds = { index = i; applied = active; after = Cinstance.snapshot facts } :: rounds in
+          let rounds = { index = i; applied; after = Cinstance.snapshot facts } :: rounds in
           if !bounded then unsaturated rounds else go !discovered rounds (i + 1)
     end
   in
-  match List.iter (fun (tgd, p) -> Plan.iter_homs p src (fun hom -> discover tgd hom)) plans with
+  match Candidate.iter_seed run discover with
   | () -> go !discovered [] 0
   | exception Round_bound -> unsaturated []
 

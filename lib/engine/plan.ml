@@ -34,10 +34,15 @@ type delta_step = {
 
 type t = {
   tgd : Tgd.t;
-  id : int;  (* unique per compiled plan; memo key component *)
   nslots : int;
   var_of_slot : Term.t array;
-  body_slots : int array;  (* slots of body variables, for emit *)
+  key_slots : int array;
+      (* slots of the body variables in variable order ([Term.compare]):
+         cell [i + 1] of a candidate key holds the id bound to slot
+         [key_slots.(i)], so comparing keys cell by cell (as terms)
+         follows [Substitution.compare] *)
+  cell_of_slot : int array;  (* inverse of [key_slots]; -1 off the body *)
+  body_tmpl : (string * pat array) array;  (* body atoms in TGD order *)
   body_order : step array;  (* full enumeration *)
   body_key : int;
   delta : delta_step array;  (* per body atom index *)
@@ -51,6 +56,13 @@ type t = {
          twice, harmlessly. *)
   frontier_vars : Term.t array;  (* sorted; aligned with frontier_slots *)
   frontier_slots : int array;
+  frontier_cells : int array;  (* key cell of each frontier slot *)
+  head_tmpl : (string * pat array) array;  (* head atoms in TGD order *)
+  ex_slots : int array;  (* existential slots in variable order *)
+  null_key : (string * string array) option Atomic.t;
+      (* the fixed parts of the canonical null digest key: ["name|text|"]
+         and ["?X="] per key slot; built on first use, since query plans
+         never name a null *)
 }
 
 let tgd p = p.tgd
@@ -58,8 +70,6 @@ let tgd p = p.tgd
 (* ------------------------------------------------------------------ *)
 (* Compilation                                                         *)
 (* ------------------------------------------------------------------ *)
-
-let next_id = ref 0
 
 (* Process-wide, so a key names one step array of one plan in every
    source's resolution cache. *)
@@ -88,7 +98,7 @@ let compile tgd =
   let pats_of_atom a = Array.map pat_of_term (Atom.args_a a) in
   let body_pats = Array.map pats_of_atom body in
   let head_pats = Array.map pats_of_atom head in
-  let var_of_slot () = Array.of_list (List.rev !vars) in
+  let var_of_slot = Array.of_list (List.rev !vars) in
   (* A step for atom [a], given the set of slots bound beforehand. *)
   let make_step a pats bound_slots =
     let bound = ref [] in
@@ -207,22 +217,30 @@ let compile tgd =
           Atomic.set compiled (Some w);
           w
   in
-  let body_slots =
+  let key_slots =
     let seen = Hashtbl.create 16 in
-    Array.iter
-      (fun pats ->
-        List.iter (fun s -> Hashtbl.replace seen s ()) (slots_of_pats pats))
-      body_pats;
-    Array.of_list (Hashtbl.fold (fun s () acc -> s :: acc) seen [])
+    Array.iter (fun pats -> List.iter (fun s -> Hashtbl.replace seen s ()) (slots_of_pats pats)) body_pats;
+    Hashtbl.fold (fun s () acc -> s :: acc) seen []
+    |> List.sort (fun a b -> Term.compare var_of_slot.(a) var_of_slot.(b))
+    |> Array.of_list
   in
-  let id = !next_id in
-  incr next_id;
+  let cell_of_slot = Array.make (max 1 !nslots) (-1) in
+  Array.iteri (fun i s -> cell_of_slot.(s) <- i + 1) key_slots;
+  let ex_slots =
+    Array.to_list head_pats
+    |> List.concat_map slots_of_pats
+    |> List.filter (fun s -> cell_of_slot.(s) < 0)
+    |> List.sort_uniq (fun a b -> Term.compare var_of_slot.(a) var_of_slot.(b))
+    |> Array.of_list
+  in
+  let tmpl atoms pats = Array.mapi (fun i a -> (Atom.pred a, pats.(i))) atoms in
   {
     tgd;
-    id;
     nslots = !nslots;
-    var_of_slot = var_of_slot ();
-    body_slots;
+    var_of_slot;
+    key_slots;
+    cell_of_slot;
+    body_tmpl = tmpl body body_pats;
     body_order;
     body_key = fresh_key ();
     delta;
@@ -231,6 +249,10 @@ let compile tgd =
     witness;
     frontier_vars;
     frontier_slots;
+    frontier_cells = Array.map (fun s -> cell_of_slot.(s)) frontier_slots;
+    head_tmpl = tmpl head head_pats;
+    ex_slots;
+    null_key = Atomic.make None;
   }
 
 module TgdMap = Map.Make (Tgd)
@@ -347,7 +369,7 @@ let sub_of_env p env =
       match env.(slot) with
       | Some v -> Substitution.bind p.var_of_slot.(slot) v s
       | None -> s)
-    Substitution.empty p.body_slots
+    Substitution.empty p.key_slots
 
 let scratch p = (Array.make (max 1 p.nslots) None, Array.make (max 1 p.nslots) 0)
 
@@ -425,9 +447,12 @@ type source = Persistent of Instance.t | Columnar of csource
 
 let source_of_instance i = Persistent i
 
-let source_of_cinstance ci =
-  Columnar
-    { ci; resolved = Atomic.make { gen = Cinstance.removals ci; size = 0; steps = IntMap.empty } }
+let csource ci =
+  { ci; resolved = Atomic.make { gen = Cinstance.removals ci; size = 0; steps = IntMap.empty } }
+
+let source_of_csource cs = Columnar cs
+let source_of_cinstance ci = Columnar (csource ci)
+let cinstance cs = cs.ci
 
 (* [resolve_steps], cached in the source under [key]. *)
 let resolve cs key steps =
@@ -561,9 +586,87 @@ let sub_of_env_c p ci (env : int array) =
     (fun s slot ->
       let id = env.(slot) in
       if id < 0 then s else Substitution.bind p.var_of_slot.(slot) (Cinstance.term_of_id ci id) s)
-    Substitution.empty p.body_slots
+    Substitution.empty p.key_slots
 
 let cscratch p = (Array.make (max 1 p.nslots) (-1), Array.make (max 1 p.nslots) 0)
+
+(* The columnar enumerations, each calling [emit ()] with the match
+   bound in [env].  A normal return leaves [env] as it found it; an
+   exception out of [emit] (or [Sat]) leaves bindings behind, which
+   [prepare] clears before the next use of a shared scratch. *)
+
+let body_env cs p env trail emit =
+  match resolve cs p.body_key p.body_order with
+  | None -> ()
+  | Some csteps -> run_steps_c csteps env trail 0 emit
+
+(* Every seed position that [ids], an atom of [pred] as interned ids,
+   matches, with the compiled suffix run from there. *)
+let delta_env cs p env trail pred ids emit =
+  let arity = Array.length ids in
+  Array.iter
+    (fun d ->
+      if String.equal d.seed.pred pred && d.seed.arity = arity then
+        match resolve cs d.seed_key d.seed_alone with
+        | None -> ()
+        | Some seed ->
+            let cur = try_match_ids ids seed.(0).ipats arity env trail 0 in
+            if cur >= 0 then begin
+              Obs.incr "plan.delta.seed";
+              (match resolve cs d.suffix_key d.suffix with
+              | None -> ()
+              | Some csteps -> run_steps_c csteps env trail cur emit);
+              for j = 0 to cur - 1 do
+                env.(trail.(j)) <- -1
+              done
+            end)
+    p.delta
+
+(* [atom] is matched as a term tuple against each head atom's pattern
+   (a former witness may carry terms the store no longer holds), and
+   the body runs with only the frontier slots of that head atom bound. *)
+let witness_env ci p env trail atom emit =
+  let pred = Atom.pred atom in
+  Array.iter
+    (fun (pattern, order) ->
+      if String.equal pattern.pred pred then begin
+        let tenv, ttrail = scratch p in
+        if try_match pattern tenv ttrail 0 atom >= 0 then begin
+          Obs.incr "plan.witness.seed";
+          (* a frontier term the store never interned occurs in no row,
+             so no body homomorphism can bind it *)
+          let known =
+            Array.for_all
+              (fun slot ->
+                match tenv.(slot) with
+                | None -> true
+                | Some v ->
+                    let id = Cinstance.find_id ci v in
+                    env.(slot) <- id;
+                    id >= 0)
+              p.frontier_slots
+          in
+          (if known then
+             match resolve_steps ci order with
+             | None -> ()
+             | Some csteps -> run_steps_c csteps env trail 0 emit);
+          Array.iter (fun slot -> env.(slot) <- -1) p.frontier_slots
+        end
+      end)
+    (p.witness ())
+
+exception Sat
+
+(* Does some extension of the frontier slots bound in [env] map the
+   head into the store? *)
+let head_env cs p env trail =
+  match resolve cs p.head_key p.head_steps with
+  | None -> false
+  | Some csteps -> (
+      try
+        run_steps_c csteps env trail 0 (fun () -> raise Sat);
+        false
+      with Sat -> true)
 
 (* ------------------------------------------------------------------ *)
 (* Dispatch                                                            *)
@@ -574,19 +677,16 @@ let iter_homs p src f =
   | Persistent inst ->
       let env, trail = scratch p in
       run_steps inst p.body_order env trail 0 (fun () -> f (sub_of_env p env))
-  | Columnar cs -> (
-      match resolve cs p.body_key p.body_order with
-      | None -> ()
-      | Some csteps ->
-          let env, trail = cscratch p in
-          run_steps_c csteps env trail 0 (fun () -> f (sub_of_env_c p cs.ci env)))
+  | Columnar cs ->
+      let env, trail = cscratch p in
+      body_env cs p env trail (fun () -> f (sub_of_env_c p cs.ci env))
 
 let iter_tuples p src vars f =
   let slots =
     Array.of_list
       (List.map
          (fun v ->
-           match Array.find_opt (fun s -> Term.equal p.var_of_slot.(s) v) p.body_slots with
+           match Array.find_opt (fun s -> Term.equal p.var_of_slot.(s) v) p.key_slots with
            | Some s -> s
            | None -> invalid_arg "Plan.iter_tuples: not a body variable")
          vars)
@@ -606,154 +706,210 @@ let iter_tuples p src vars f =
           run_steps_c csteps env trail 0 (fun () ->
               f (Array.fold_right (fun s acc -> Cinstance.term_of_id cs.ci env.(s) :: acc) slots [])))
 
-let iter_delta_homs p src atom f =
-  let pred = Atom.pred atom in
-  match src with
-  | Persistent inst ->
-      Array.iter
-        (fun d ->
-          (* the delta atom comes from outside the per-predicate indexes, so
-             the predicate must be checked here *)
-          if String.equal d.seed.pred pred then begin
-            let env, trail = scratch p in
-            let cur = try_match d.seed env trail 0 atom in
-            if cur >= 0 then begin
-              Obs.incr "plan.delta.seed";
-              run_steps inst d.suffix env trail cur (fun () -> f (sub_of_env p env))
-            end
-          end)
-        p.delta
-  | Columnar cs ->
-      let arity = Atom.arity atom in
-      let aids = Array.init arity (fun i -> Cinstance.find_id cs.ci (Atom.arg atom i)) in
-      (* delta atoms are always already in the store (engines add before
-         discovering), so their args are interned; if not, no stored row
-         can join with them and there is nothing to seed *)
-      if not (Array.exists (fun id -> id < 0) aids) then
-        Array.iter
-          (fun d ->
-            if String.equal d.seed.pred pred && d.seed.arity = arity then
-              match resolve cs d.seed_key d.seed_alone with
-              | None -> ()
-              | Some seed ->
-                  let env, trail = cscratch p in
-                  let cur = try_match_ids aids seed.(0).ipats arity env trail 0 in
-                  if cur >= 0 then begin
-                    Obs.incr "plan.delta.seed";
-                    match resolve cs d.suffix_key d.suffix with
-                    | None -> ()
-                    | Some csteps ->
-                        run_steps_c csteps env trail cur (fun () -> f (sub_of_env_c p cs.ci env))
-                  end)
-          p.delta
-
-(* The head-seeded twin of [iter_delta_homs]: [atom] is matched as a
-   term tuple against each head atom's pattern (a former witness may
-   carry terms the store no longer holds), and the body runs with only
-   the frontier slots of that head atom bound. *)
-let iter_witness_homs p src atom f =
+let iter_delta_homs p inst atom f =
   let pred = Atom.pred atom in
   Array.iter
-    (fun (pattern, order) ->
-      if String.equal pattern.pred pred then begin
+    (fun d ->
+      (* the delta atom comes from outside the per-predicate indexes, so
+         the predicate must be checked here *)
+      if String.equal d.seed.pred pred then begin
         let env, trail = scratch p in
-        if try_match pattern env trail 0 atom >= 0 then begin
-          Obs.incr "plan.witness.seed";
-          match src with
-          | Persistent inst -> run_steps inst order env trail 0 (fun () -> f (sub_of_env p env))
-          | Columnar { ci; _ } -> (
-              let cenv, ctrail = cscratch p in
-              (* a frontier term the store never interned occurs in no
-                 row, so no body homomorphism can bind it *)
-              let known =
-                Array.for_all
-                  (fun slot ->
-                    match env.(slot) with
-                    | None -> true
-                    | Some v ->
-                        let id = Cinstance.find_id ci v in
-                        cenv.(slot) <- id;
-                        id >= 0)
-                  p.frontier_slots
-              in
-              if known then
-                match resolve_steps ci order with
-                | None -> ()
-                | Some csteps ->
-                    run_steps_c csteps cenv ctrail 0 (fun () -> f (sub_of_env_c p ci cenv)))
+        let cur = try_match d.seed env trail 0 atom in
+        if cur >= 0 then begin
+          Obs.incr "plan.delta.seed";
+          run_steps inst d.suffix env trail cur (fun () -> f (sub_of_env p env))
         end
       end)
-    (p.witness ())
+    p.delta
 
-exception Sat
+let head_satisfied p inst hom =
+  let env, trail = scratch p in
+  Array.iteri
+    (fun k slot -> env.(slot) <- Some (Substitution.apply_term hom p.frontier_vars.(k)))
+    p.frontier_slots;
+  try
+    run_steps inst p.head_steps env trail 0 (fun () -> raise Sat);
+    false
+  with Sat -> true
 
-let head_satisfied p src hom =
-  match src with
-  | Persistent inst -> (
-      let env, trail = scratch p in
-      Array.iteri
-        (fun k slot -> env.(slot) <- Some (Substitution.apply_term hom p.frontier_vars.(k)))
-        p.frontier_slots;
-      try
-        run_steps inst p.head_steps env trail 0 (fun () -> raise Sat);
-        false
-      with Sat -> true)
-  | Columnar cs -> (
-      match resolve cs p.head_key p.head_steps with
-      | None -> false
-      | Some csteps -> (
-          let env, trail = cscratch p in
-          let known = ref true in
-          Array.iteri
-            (fun k slot ->
-              let id = Cinstance.find_id cs.ci (Substitution.apply_term hom p.frontier_vars.(k)) in
-              if id < 0 then known := false else env.(slot) <- id)
-            p.frontier_slots;
-          (* a frontier term the store never saw occurs in no row, so no
-             extension can map the head in *)
-          !known
-          &&
-          try
-            run_steps_c csteps env trail 0 (fun () -> raise Sat);
-            false
-          with Sat -> true))
+(* ------------------------------------------------------------------ *)
+(* Candidate keys                                                      *)
+(* ------------------------------------------------------------------ *)
 
-let frontier_image p hom =
-  Array.fold_right (fun v acc -> Substitution.apply_term hom v :: acc) p.frontier_vars []
+module Key = struct
+  type t = int array
 
-module KeyTbl = Hashtbl.Make (struct
-  type t = int * Term.t list
+  let equal (a : t) b =
+    let n = Array.length a in
+    n = Array.length b
+    &&
+    let rec go i = i >= n || (a.(i) = b.(i) && go (i + 1)) in
+    go 0
 
-  let equal (i1, ts1) (i2, ts2) = Int.equal i1 i2 && List.equal Term.equal ts1 ts2
+  (* Ids are small and often consecutive, so each cell is multiplied
+     into the high bits and folded back down: a table indexed by the
+     low bits must not see one cluster per run of ids. *)
+  let hash (k : t) =
+    let h = ref 0 in
+    for i = 0 to Array.length k - 1 do
+      let x = (!h + k.(i)) * 0x1f3d5b79a3c2e6d1 in
+      h := x lxor (x lsr 29)
+    done;
+    !h land max_int
+end
 
-  let hash (i, ts) =
-    List.fold_left (fun acc t -> (acc * 65599) + Term.hash t) i ts land max_int
-end)
+module KeyTbl = Hashtbl.Make (Key)
 
+type scratch = { mutable env : int array; mutable trail : int array }
+
+let new_scratch () = { env = [||]; trail = [||] }
+
+(* The scratch env, cleared and large enough for [p]; it grows to the
+   largest plan it serves and is then reused by every call. *)
+let prepare sc p =
+  let n = max 1 p.nslots in
+  if Array.length sc.env < n then begin
+    sc.env <- Array.make n (-1);
+    sc.trail <- Array.make n 0
+  end
+  else Array.fill sc.env 0 n (-1);
+  sc.env
+
+let key_of_env p tag env =
+  let n = Array.length p.key_slots in
+  let k = Array.make (n + 1) tag in
+  for i = 0 to n - 1 do
+    k.(i + 1) <- env.(p.key_slots.(i))
+  done;
+  k
+
+let iter_keys p cs sc ~tag f =
+  let env = prepare sc p in
+  body_env cs p env sc.trail (fun () -> f (key_of_env p tag env))
+
+(* [None] when the store never interned one of the arguments: then no
+   stored row can join with the atom. *)
+let atom_ids cs atom =
+  let ids = Array.map (Cinstance.find_id cs.ci) (Atom.args_a atom) in
+  if Array.exists (fun id -> id < 0) ids then None else Some ids
+
+let iter_delta_keys p cs sc ~tag pred ids f =
+  let env = prepare sc p in
+  delta_env cs p env sc.trail pred ids (fun () -> f (key_of_env p tag env))
+
+let iter_witness_keys p cs sc ~tag atom f =
+  let env = prepare sc p in
+  witness_env cs.ci p env sc.trail atom (fun () -> f (key_of_env p tag env))
+
+let head_satisfied_key p cs sc key =
+  let env = prepare sc p in
+  Array.iteri (fun k slot -> env.(slot) <- key.(p.frontier_cells.(k))) p.frontier_slots;
+  head_env cs p env sc.trail
+
+let frontier_key p key =
+  let n = Array.length p.frontier_cells in
+  let k = Array.make (n + 1) key.(0) in
+  for i = 0 to n - 1 do
+    k.(i + 1) <- key.(p.frontier_cells.(i))
+  done;
+  k
+
+let hom_of_key p cs key =
+  Obs.incr "plan.key.hom";
+  let ci = cs.ci in
+  let s = ref Substitution.empty in
+  Array.iteri
+    (fun i slot ->
+      s := Substitution.bind p.var_of_slot.(slot) (Cinstance.term_of_id ci key.(i + 1)) !s)
+    p.key_slots;
+  !s
+
+let atoms_of_tmpl tmpl term_of_slot =
+  Array.fold_right
+    (fun (pred, pats) acc ->
+      Atom.make_a pred (Array.map (function Fixed t -> t | S s -> term_of_slot s) pats) :: acc)
+    tmpl []
+
+let body_of_key p cs key =
+  let ci = cs.ci in
+  atoms_of_tmpl p.body_tmpl (fun s -> Cinstance.term_of_id ci key.(p.cell_of_slot.(s)))
+
+(* The canonical null c^{σ,h}_x of [Trigger.canonical_null], from the
+   key: the digest key is ["name|text|bindings|x"], where bindings
+   lists ["?V=term"] in variable order, joined by [';']. *)
+let canonical_nulls p ci key =
+  let prefix, labels =
+    match Atomic.get p.null_key with
+    | Some k -> k
+    | None ->
+        let k =
+          ( Tgd.name p.tgd ^ "|" ^ Tgd.to_string p.tgd ^ "|",
+            Array.map (fun s -> Term.to_string p.var_of_slot.(s) ^ "=") p.key_slots )
+        in
+        Atomic.set p.null_key (Some k);
+        k
+  in
+  let b = Buffer.create 128 in
+  Buffer.add_string b prefix;
+  Array.iteri
+    (fun i label ->
+      if i > 0 then Buffer.add_char b ';';
+      Buffer.add_string b label;
+      Buffer.add_string b (Term.to_string (Cinstance.term_of_id ci key.(i + 1))))
+    labels;
+  Buffer.add_char b '|';
+  let len = Buffer.length b in
+  Array.map
+    (fun slot ->
+      Buffer.truncate b len;
+      (match p.var_of_slot.(slot) with Term.Var x -> Buffer.add_string b x | _ -> assert false);
+      Term.Null ("c" ^ String.sub (Digest.to_hex (Digest.string (Buffer.contents b))) 0 16))
+    p.ex_slots
+
+let instantiate ?gen p cs key =
+  let ci = cs.ci in
+  let terms = Array.make (max 1 p.nslots) (Term.Const "") in
+  let frontier = ref Term.Set.empty in
+  Array.iteri
+    (fun k slot ->
+      let t = Cinstance.term_of_id ci key.(p.frontier_cells.(k)) in
+      terms.(slot) <- t;
+      frontier := Term.Set.add t !frontier)
+    p.frontier_slots;
+  (match gen with
+  | Some g -> Array.iter (fun slot -> terms.(slot) <- Term.Gen.fresh g) p.ex_slots
+  | None ->
+      if Array.length p.ex_slots > 0 then
+        Array.iteri (fun i null -> terms.(p.ex_slots.(i)) <- null) (canonical_nulls p ci key));
+  (atoms_of_tmpl p.head_tmpl (Array.get terms), !frontier)
+
+(* Head satisfaction is monotone for a growing store, so a positive
+   answer is cached under the key's tag and frontier ids for as long as
+   the ids live. *)
 module Head_memo = struct
   type nonrec t = unit KeyTbl.t
 
   let create () = KeyTbl.create 256
 
-  let is_active memo p src hom =
-    let key = (p.id, frontier_image p hom) in
-    if KeyTbl.mem memo key then begin
+  let is_active memo p cs sc key =
+    let fk = frontier_key p key in
+    if KeyTbl.mem memo fk then begin
       Obs.incr "plan.memo.hit";
       false
     end
     else begin
       Obs.incr "plan.memo.miss";
-      if head_satisfied p src hom then begin
-        KeyTbl.add memo key ();
+      if head_satisfied_key p cs sc key then begin
+        KeyTbl.add memo fk ();
         false
       end
       else true
     end
 
   (* The next two support speculative parallel scans: workers run the
-     memo-free [head_satisfied] (the memo is single-domain) and the
+     memo-free [head_satisfied_key] (the memo is single-domain) and the
      coordinator folds their verdicts back in.  Sound for the same
      monotonicity reason as [is_active]'s cache. *)
-  let known_inactive memo p hom = KeyTbl.mem memo (p.id, frontier_image p hom)
-  let record memo p hom = KeyTbl.replace memo (p.id, frontier_image p hom) ()
+  let known_inactive memo p key = KeyTbl.mem memo (frontier_key p key)
+  let record memo p key = KeyTbl.replace memo (frontier_key p key) ()
 end

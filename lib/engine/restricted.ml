@@ -15,13 +15,14 @@
    the default, and its alias [`Columnar]) matches bodies with compiled
    join plans ({!Plan}) over the interned columnar store
    ({!Chase_core.Cinstance}), id-comparing in the inner join loop, and
-   memoizes satisfied heads; [`Naive] is the original
+   memoizes satisfied heads; it carries every candidate as interned ids
+   ({!Candidate}) from match to apply.  [`Naive] is the original
    generic-homomorphism search over the persistent instance, kept as the
    oracle for equivalence tests.  Both push candidate triggers into the
-   pool in batches sorted by {!Trigger.compare} — one batch for the
-   initial instance, one per produced atom — so the pop sequence, and
-   hence the whole derivation, is identical across backends for every
-   strategy. *)
+   pool in batches sorted by {!Trigger.compare} (on keys,
+   {!Candidate.compare}) — one batch for the initial instance, one per
+   produced atom — so the pop sequence, and hence the whole derivation,
+   is identical across backends for every strategy. *)
 
 open Chase_core
 module Exec = Chase_exec.Pool
@@ -40,25 +41,27 @@ let strategy_name = function
 
 let backend_name = Backend.name
 
-module TrigTbl = Hashtbl.Make (Trigger)
-
-(* A pool of pending candidate triggers with the three policies, backed by
-   one growable array: Fifo reads at a front cursor, Lifo pops the end,
+(* A pool of pending candidates with the three policies, backed by one
+   growable array: Fifo reads at a front cursor, Lifo pops the end,
    Random swap-removes — all O(1) per operation.  Dedup is a hashed set,
-   so a push costs one hash instead of log-many substitution compares. *)
-module Pool = struct
+   so a push costs one hash instead of log-many compares.  Generic over
+   the element: the store engines pool {!Candidate} keys, whose hash
+   reads a few ints, the naive oracle pools [Trigger.t]s. *)
+module Pool (E : Hashtbl.HashedType) = struct
+  module Seen = Hashtbl.Make (E)
+
   type t = {
-    mutable arr : Trigger.t array;
+    mutable arr : E.t array;
     mutable len : int;  (* one past the last live element *)
     mutable front : int;  (* Fifo read cursor; 0 for Lifo/Random *)
-    seen : unit TrigTbl.t;
+    seen : unit Seen.t;
     strategy : strategy;
     rng : Random.State.t option;
   }
 
   let create strategy =
     let rng = match strategy with Random seed -> Some (Random.State.make [| seed |]) | _ -> None in
-    { arr = [||]; len = 0; front = 0; seen = TrigTbl.create 256; strategy; rng }
+    { arr = [||]; len = 0; front = 0; seen = Seen.create 256; strategy; rng }
 
   let size pool = pool.len - pool.front
 
@@ -67,37 +70,35 @@ module Pool = struct
       f pool.arr.(i)
     done
 
-  (* [replace] hashes [t] once and grows the set only when [t] is new,
+  (* [replace] hashes [x] once and grows the set only when [x] is new,
      so the size tells a push from a duplicate without a second hash. *)
-  let push pool t =
-    let before = TrigTbl.length pool.seen in
-    TrigTbl.replace pool.seen t ();
-    if TrigTbl.length pool.seen = before then Obs.incr "restricted.pool.dup"
+  let push pool x =
+    let before = Seen.length pool.seen in
+    Seen.replace pool.seen x ();
+    if Seen.length pool.seen = before then Obs.incr "restricted.pool.dup"
     else begin
       Obs.incr "restricted.pool.push";
       let cap = Array.length pool.arr in
       if pool.len = cap then begin
-        (* grow, seeding the new array with [t] so no dummy is needed *)
-        let arr' = Array.make (max 8 (2 * cap)) t in
+        (* grow, seeding the new array with [x] so no dummy is needed *)
+        let arr' = Array.make (max 8 (2 * cap)) x in
         Array.blit pool.arr 0 arr' 0 pool.len;
         pool.arr <- arr'
       end;
-      pool.arr.(pool.len) <- t;
+      pool.arr.(pool.len) <- x;
       pool.len <- pool.len + 1
     end
 
-  (* Candidates are pushed in canonically sorted batches so that both
-     backends fill the pool identically (see the header comment). *)
-  let push_batch pool ts = List.iter (push pool) (List.sort Trigger.compare ts)
+  let push_batch pool xs = List.iter (push pool) xs
 
   let pop pool =
     match pool.strategy with
     | Fifo ->
         if pool.front >= pool.len then None
         else begin
-          let t = pool.arr.(pool.front) in
+          let x = pool.arr.(pool.front) in
           pool.front <- pool.front + 1;
-          Some t
+          Some x
         end
     | Lifo ->
         if pool.len = 0 then None
@@ -110,17 +111,17 @@ module Pool = struct
         else begin
           let rng = Option.get pool.rng in
           let k = Random.State.int rng pool.len in
-          let t = pool.arr.(k) in
+          let x = pool.arr.(k) in
           pool.len <- pool.len - 1;
           pool.arr.(k) <- pool.arr.(pool.len);
-          Some t
+          Some x
         end
 
   (* The next [k] pops in pop order, without consuming anything — the
      speculative window of the parallel activity scan.  Fifo/Lifo just
      read the array; Random copies the RNG and simulates its
      swap-removes in an overlay table, so replaying the real pops
-     afterwards consumes the exact same triggers and RNG draws. *)
+     afterwards consumes the exact same elements and RNG draws. *)
   let peek_order pool k =
     let k = min k (size pool) in
     match pool.strategy with
@@ -130,43 +131,59 @@ module Pool = struct
         let rng = Random.State.copy (Option.get pool.rng) in
         let overlay = Hashtbl.create 16 in
         let get i =
-          match Hashtbl.find_opt overlay i with Some t -> t | None -> pool.arr.(i)
+          match Hashtbl.find_opt overlay i with Some x -> x | None -> pool.arr.(i)
         in
         let len = ref pool.len in
         Array.init k (fun _ ->
             let j = Random.State.int rng !len in
-            let t = get j in
+            let x = get j in
             decr len;
             Hashtbl.replace overlay j (get !len);
-            t)
+            x)
+
+  (* Budget-exhaustion status: every trigger that is still active on
+     the final instance sits in the pool (a trigger is discovered when
+     its last body atom is added; applied or inactive ones stay
+     inactive forever by monotonicity), so draining the pool until the
+     first active candidate answers Terminated-vs-Out_of_budget without
+     re-enumerating all triggers.  Destructive. *)
+  let drain_status pool is_active =
+    let rec go () =
+      match pop pool with
+      | None -> Derivation.Terminated
+      | Some x ->
+          Obs.incr "restricted.drain";
+          if is_active x then Derivation.Out_of_budget else go ()
+    in
+    go ()
 end
+
+module Cand_pool = Pool (Candidate)
+module Trigger_pool = Pool (Trigger)
 
 let default_max_steps = 10_000
 
-(* [make_next_active ~epool ~plan_of ~src ~memo pool] is the activity
-   scan shared by [run_store] and the resumable {!Incremental}
-   state: repeated calls pop candidates until the first active one
-   (None = pool drained).  Sequentially that is one pop + memoized
-   activity test per iteration.  With a parallel [epool], a speculative
-   window of the upcoming pops ([Pool.peek_order]) is tested at once
-   against the frozen instance and the first active one {e in pop
-   order} wins; the window's real pops are then replayed so the pool
-   and RNG state match the sequential engine exactly.  The speculative
-   verdicts are final — activity is monotone downwards and the instance
-   does not grow during a scan — so the pop sequence is bit-identical
-   to sequential, and verdicts beyond the winner are folded into the
-   head memo rather than wasted.  The widening window is per-closure
-   state: create one scanner per run (or per resumed chase call). *)
-let make_next_active ~epool ~plan_of ~src ~memo pool =
-  let is_active trigger =
-    Plan.Head_memo.is_active memo (plan_of (Trigger.tgd trigger)) src (Trigger.hom trigger)
-  in
+(* [make_next_active ~epool ~run ~memo pool] is the activity scan
+   shared by [run_store] and the resumable {!Incremental} state:
+   repeated calls pop candidates until the first active one (None =
+   pool drained).  Sequentially that is one pop + memoized activity
+   test per iteration.  With a parallel [epool], a speculative window
+   of the upcoming pops ([Pool.peek_order]) is tested at once against
+   the frozen instance and the first active one {e in pop order} wins;
+   the window's real pops are then replayed so the pool and RNG state
+   match the sequential engine exactly.  The speculative verdicts are
+   final — activity is monotone downwards and the instance does not
+   grow during a scan — so the pop sequence is bit-identical to
+   sequential, and verdicts beyond the winner are folded into the head
+   memo rather than wasted.  The widening window is per-closure state:
+   create one scanner per run (or per resumed chase call). *)
+let make_next_active ~epool ~run ~memo pool =
   let next_active_seq () =
     let rec go () =
-      match Pool.pop pool with
+      match Cand_pool.pop pool with
       | None -> None
-      | Some trigger ->
-          if is_active trigger then Some trigger
+      | Some c ->
+          if Candidate.is_active run memo c then Some c
           else begin
             Obs.incr "restricted.inactive";
             go ()
@@ -178,33 +195,28 @@ let make_next_active ~epool ~plan_of ~src ~memo pool =
   else begin
     let base_window = 2 * Exec.jobs epool in
     let window = ref base_window in
-    let head_satisfied t =
-      Plan.head_satisfied (plan_of (Trigger.tgd t)) src (Trigger.hom t)
-    in
     let rec go () =
-      if Pool.size pool = 0 then None
+      if Cand_pool.size pool = 0 then None
       else begin
-        let cands = Pool.peek_order pool !window in
+        let cands = Cand_pool.peek_order pool !window in
         let k = Array.length cands in
         let active = Array.make k false in
-        (* coordinator-side memo pass: only unknown triggers fan out *)
+        (* coordinator-side memo pass: only unknown candidates fan out *)
         let unknown = ref [] in
         Array.iteri
-          (fun i t ->
-            if
-              not
-                (Plan.Head_memo.known_inactive memo
-                   (plan_of (Trigger.tgd t))
-                   (Trigger.hom t))
-            then unknown := i :: !unknown)
+          (fun i c ->
+            if not (Plan.Head_memo.known_inactive memo (Candidate.plan run c) c) then
+              unknown := i :: !unknown)
           cands;
         let unknown = Array.of_list (List.rev !unknown) in
-        let satisfied = Exec.map_array epool (fun i -> head_satisfied cands.(i)) unknown in
+        let satisfied =
+          Exec.map_array epool (fun i -> Candidate.head_satisfied run cands.(i)) unknown
+        in
         Array.iteri
           (fun j i ->
             if satisfied.(j) then
-              let t = cands.(i) in
-              Plan.Head_memo.record memo (plan_of (Trigger.tgd t)) (Trigger.hom t)
+              let c = cands.(i) in
+              Plan.Head_memo.record memo (Candidate.plan run c) c
             else active.(i) <- true)
           unknown;
         let first = ref (-1) in
@@ -219,7 +231,7 @@ let make_next_active ~epool ~plan_of ~src ~memo pool =
         if !first < 0 then begin
           (* whole window inactive: consume it, widen, rescan *)
           for _ = 1 to k do
-            ignore (Pool.pop pool);
+            ignore (Cand_pool.pop pool);
             Obs.incr "restricted.inactive"
           done;
           window := min 4096 (2 * !window);
@@ -227,11 +239,11 @@ let make_next_active ~epool ~plan_of ~src ~memo pool =
         end
         else begin
           for _ = 1 to !first do
-            ignore (Pool.pop pool);
+            ignore (Cand_pool.pop pool);
             Obs.incr "restricted.inactive"
           done;
           window := base_window;
-          Pool.pop pool
+          Cand_pool.pop pool
         end
       end
     in
@@ -278,22 +290,6 @@ let obs_done status steps =
         ("steps", Obs.Int steps);
       ]
 
-(* Budget-exhaustion status: every trigger that is still active on the
-   final instance sits in the pool (a trigger is discovered when its last
-   body atom is added; applied or inactive ones stay inactive forever by
-   monotonicity), so draining the pool until the first active candidate
-   answers Terminated-vs-Out_of_budget without re-enumerating all
-   triggers. *)
-let drain_status pool is_active =
-  let rec go () =
-    match Pool.pop pool with
-    | None -> Derivation.Terminated
-    | Some t ->
-        Obs.incr "restricted.drain";
-        if is_active t then Derivation.Out_of_budget else go ()
-  in
-  go ()
-
 let resolve_gen naming gen =
   (* [`Canonical] names nulls c^{σ,h}_x as in Def 3.1, so produced atoms
      coincide literally with real-oblivious-chase atoms (used when mapping
@@ -305,16 +301,17 @@ let resolve_gen naming gen =
 
 let run_naive ~strategy ~max_steps ~gen tgds database =
   obs_run_start ~backend:`Naive ~strategy ~max_steps database;
-  let pool = Pool.create strategy in
-  Pool.push_batch pool (List.of_seq (Trigger.all_naive tgds database));
+  let pool = Trigger_pool.create strategy in
+  let push_batch ts = Trigger_pool.push_batch pool (List.sort Trigger.compare (List.of_seq ts)) in
+  push_batch (Trigger.all_naive tgds database);
   let rec loop instance steps_rev n =
     if n >= max_steps then begin
-      let status = drain_status pool (Trigger.is_active_naive instance) in
+      let status = Trigger_pool.drain_status pool (Trigger.is_active_naive instance) in
       obs_done status n;
       Derivation.make ~database ~steps:(List.rev steps_rev) ~status
     end
     else
-      match Pool.pop pool with
+      match Trigger_pool.pop pool with
       | None ->
           obs_done Derivation.Terminated n;
           Derivation.make ~database ~steps:(List.rev steps_rev) ~status:Terminated
@@ -325,11 +322,8 @@ let run_naive ~strategy ~max_steps ~gen tgds database =
           end
           else begin
             let after, produced = Trigger.apply ?gen instance trigger in
-            List.iter
-              (fun atom ->
-                Pool.push_batch pool (List.of_seq (Trigger.involving_naive tgds after atom)))
-              produced;
-            obs_step trigger produced ~pool_size:(Pool.size pool) ~index:n;
+            List.iter (fun atom -> push_batch (Trigger.involving_naive tgds after atom)) produced;
+            obs_step trigger produced ~pool_size:(Trigger_pool.size pool) ~index:n;
             let step =
               {
                 Derivation.index = n;
@@ -345,69 +339,48 @@ let run_naive ~strategy ~max_steps ~gen tgds database =
   loop database [] 0
 
 (* The store-backed engine: both tags, [`Compiled] and [`Columnar], run
-   it on the columnar store. *)
+   it on the columnar store.  Candidates stay id keys from discovery to
+   application; only an applied step builds its [Trigger.t]. *)
 let run_store ~backend ~strategy ~max_steps ~gen ~epool tgds database =
   obs_run_start ~backend:(backend :> backend) ~strategy ~max_steps database;
-  let { Store.facts; source = src } = Store.of_instance backend database in
-  let plans = List.map (fun tgd -> (tgd, Plan.of_tgd tgd)) tgds in
+  let facts = (Store.of_instance backend database).facts in
+  let run =
+    Candidate.create (Plan.csource facts) (List.map (fun tgd -> (tgd, Plan.of_tgd tgd)) tgds)
+  in
   let memo = Plan.Head_memo.create () in
-  (* Every trigger in this run carries a tgd from [plans] itself, so the
-     plan lookup on the pop path can be physical equality. *)
-  let plan_of tgd =
-    match List.find_opt (fun (t, _) -> t == tgd) plans with
-    | Some (_, p) -> p
-    | None -> Plan.of_tgd tgd
+  let pool = Cand_pool.create strategy in
+  Cand_pool.push_batch pool (Candidate.seed run);
+  let next_active = make_next_active ~epool ~run ~memo pool in
+  (* The store no longer changes once the run ends, so the last step's
+     instance is its snapshot: one fold of the atoms queued since the
+     load, where forcing the chain of step snapshots would build, and
+     keep, one persistent instance per step. *)
+  let finish steps_rev status n =
+    obs_done status n;
+    let steps =
+      match steps_rev with
+      | last :: rest ->
+          List.rev ({ last with Derivation.after = lazy (Cinstance.snapshot facts) } :: rest)
+      | [] -> []
+    in
+    Derivation.make ~database ~steps ~status
   in
-  let is_active trigger =
-    Plan.Head_memo.is_active memo (plan_of (Trigger.tgd trigger)) src (Trigger.hom trigger)
-  in
-  let pool = Pool.create strategy in
-  let seed = ref [] in
-  List.iter
-    (fun (tgd, p) -> Plan.iter_homs p src (fun hom -> seed := Trigger.make tgd hom :: !seed))
-    plans;
-  Pool.push_batch pool !seed;
-  let next_active = make_next_active ~epool ~plan_of ~src ~memo pool in
   let rec loop prev steps_rev n =
-    if n >= max_steps then begin
-      let status = drain_status pool is_active in
-      obs_done status n;
-      Derivation.make ~database ~steps:(List.rev steps_rev) ~status
-    end
+    if n >= max_steps then finish steps_rev (Cand_pool.drain_status pool (Candidate.is_active run memo)) n
     else
       match next_active () with
-      | None ->
-          obs_done Derivation.Terminated n;
-          Derivation.make ~database ~steps:(List.rev steps_rev) ~status:Terminated
-      | Some trigger ->
-          begin
-            let produced = Trigger.result ?gen trigger in
-            List.iter (fun atom -> ignore (Cinstance.add facts atom)) produced;
-            List.iter
-              (fun atom ->
-                let batch = ref [] in
-                List.iter
-                  (fun (tgd, p) ->
-                    Plan.iter_delta_homs p src atom (fun hom ->
-                        batch := Trigger.make tgd hom :: !batch))
-                  plans;
-                Pool.push_batch pool !batch)
-              produced;
-            obs_step trigger produced ~pool_size:(Pool.size pool) ~index:n;
-            let after =
-              lazy (List.fold_left (fun i a -> Instance.add a i) (Lazy.force prev) produced)
-            in
-            let step =
-              {
-                Derivation.index = n;
-                trigger;
-                produced;
-                frontier = Trigger.frontier_terms trigger;
-                after;
-              }
-            in
-            loop after (step :: steps_rev) (n + 1)
-          end
+      | None -> finish steps_rev Derivation.Terminated n
+      | Some c ->
+          let produced, frontier = Candidate.instantiate ?gen run c in
+          List.iter (fun atom -> ignore (Cinstance.add facts atom)) produced;
+          List.iter (fun atom -> Cand_pool.push_batch pool (Candidate.delta run atom)) produced;
+          let trigger = Candidate.trigger run c in
+          obs_step trigger produced ~pool_size:(Cand_pool.size pool) ~index:n;
+          let after =
+            lazy (List.fold_left (fun i a -> Instance.add a i) (Lazy.force prev) produced)
+          in
+          let step = { Derivation.index = n; trigger; produced; frontier; after } in
+          loop after (step :: steps_rev) (n + 1)
   in
   loop (Lazy.from_val database) [] 0
 

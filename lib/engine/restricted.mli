@@ -29,11 +29,11 @@ val backend_name : backend -> string
 
 val default_max_steps : int
 
-(** The pending-candidate pool: pushed in canonically sorted batches,
-    popped per [strategy], deduplicated by trigger hash.  Exposed so
-    resumable chase states ({!Incremental}) can keep a frontier alive
-    across calls; {!run} manages one internally. *)
-module Pool : sig
+(** The pending-candidate pool, generic over its element: pushed in
+    batches the caller sorts canonically, popped per [strategy],
+    deduplicated by hash.  The store engines pool {!Candidate} keys
+    ({!Cand_pool}), the naive engine [Trigger.t]s. *)
+module Pool (E : Hashtbl.HashedType) : sig
   type t
 
   val create : strategy -> t
@@ -41,37 +41,36 @@ module Pool : sig
   (** Number of pending candidates. *)
   val size : t -> int
 
-  (** Push a batch, canonically sorted ({!Trigger.compare}) so the pool
-      fills identically however the batch was discovered. *)
-  val push_batch : t -> Trigger.t list -> unit
+  (** Push a batch in its order, skipping elements the pool has ever
+      held.  Callers sort it ({!Trigger.compare}, {!Candidate.compare})
+      so the pool fills identically however the batch was discovered. *)
+  val push_batch : t -> E.t list -> unit
 
-  val pop : t -> Trigger.t option
+  val pop : t -> E.t option
 
   (** The pending candidates, in storage order (not pop order). *)
-  val iter : t -> (Trigger.t -> unit) -> unit
+  val iter : t -> (E.t -> unit) -> unit
 end
 
-(** [make_next_active ~epool ~plan_of ~src ~memo pool] returns a
-    scanner: each call pops candidates until the first {e active} one
-    ([None] = pool drained), testing activity through the shared head
-    memo.  With a parallel [epool] the upcoming pops are tested
-    speculatively across domains, preserving the sequential pop order
-    bit-for-bit (see DESIGN.md §7).  Create one scanner per run or per
-    resumed chase call — it carries per-scan window state. *)
+(** The store engines' pool, exposed so resumable chase states
+    ({!Incremental}) can keep a frontier alive across calls; {!run}
+    manages one internally. *)
+module Cand_pool : module type of Pool (Candidate)
+
+(** [make_next_active ~epool ~run ~memo pool] returns a scanner: each
+    call pops candidates until the first {e active} one ([None] = pool
+    drained), testing activity through the shared head memo.  With a
+    parallel [epool] the upcoming pops are tested speculatively across
+    domains, preserving the sequential pop order bit-for-bit (see
+    DESIGN.md §7).  Create one scanner per run or per resumed chase
+    call — it carries per-scan window state. *)
 val make_next_active :
   epool:Chase_exec.Pool.t ->
-  plan_of:(Tgd.t -> Plan.t) ->
-  src:Plan.source ->
+  run:Candidate.run ->
   memo:Plan.Head_memo.t ->
-  Pool.t ->
+  Cand_pool.t ->
   unit ->
-  Trigger.t option
-
-(** [drain_status pool is_active] pops the remaining candidates until
-    the first active one: [Out_of_budget] if one exists, [Terminated]
-    otherwise.  Destructive — used to answer the final status when a
-    step budget runs out. *)
-val drain_status : Pool.t -> (Trigger.t -> bool) -> Derivation.status
+  Candidate.t option
 
 (** Run the restricted chase.  Stops when no active trigger remains
     ([Terminated]) or after [max_steps] applications ([Out_of_budget]).

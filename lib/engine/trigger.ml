@@ -52,18 +52,17 @@ let all tgds instance =
 (* Triggers whose body uses the given atom (for incremental chasing):
    seed each body position with [atom] and run the compiled suffix. *)
 let involving tgds instance atom =
-  let src = Plan.source_of_instance instance in
   let out = ref [] in
   List.iter
     (fun tgd ->
-      Plan.iter_delta_homs (Plan.of_tgd tgd) src atom (fun hom -> out := { tgd; hom } :: !out))
+      Plan.iter_delta_homs (Plan.of_tgd tgd) instance atom (fun hom -> out := { tgd; hom } :: !out))
     tgds;
   List.to_seq (List.rev !out)
 
 (* (σ, h) is active on I iff there is no h' ⊇ h|fr(σ) with h'(head) ⊆ I
    (Def 3.1; for multi-head TGDs all head atoms must be present). *)
 let is_active instance t =
-  not (Plan.head_satisfied (Plan.of_tgd t.tgd) (Plan.source_of_instance instance) t.hom)
+  not (Plan.head_satisfied (Plan.of_tgd t.tgd) instance t.hom)
 
 (* Reference implementations on the generic homomorphism search.  The
    engines' default paths run on compiled plans; these stay around as the

@@ -107,13 +107,19 @@ let lex_number st =
       (String.sub st.src start (st.pos - start))
   end
 
-(* The token stream of a whole input, packed five ints per token — kind,
-   payload offset, payload length, line, column — in one array.  A token
-   is boxed into a [Token.located] only when the parser reaches it, so
-   lexing a large program leaves no per-token heap blocks behind. *)
+(* The token stream of a whole input, packed three ints per token in one
+   array: kind and payload length ([kind lor (len lsl 4)]), payload
+   offset, and line and column ([(line lsl 31) lor col], each capped at
+   [max_pos]).  A token is boxed into a [Token.located] only when the
+   parser reaches it, so lexing a large program leaves no per-token heap
+   blocks behind; the array is the lexer's one large allocation, and the
+   largest of a parse. *)
 type tokens = { text : string; mutable data : int array; mutable count : int }
 
-let stride = 5
+let stride = 3
+
+(* 2^31 - 1: a line or column past it (a 2 GiB line) is reported as it *)
+let max_pos = 0x7fffffff
 
 let k_eof = 0
 and k_lparen = 1
@@ -137,11 +143,9 @@ let push b kind off len line col =
     b.data <- data
   end;
   let d = b.data in
-  d.(o) <- kind;
+  d.(o) <- kind lor (len lsl 4);
   d.(o + 1) <- off;
-  d.(o + 2) <- len;
-  d.(o + 3) <- line;
-  d.(o + 4) <- col;
+  d.(o + 2) <- (min line max_pos lsl 31) lor min col max_pos;
   b.count <- b.count + 1
 
 (* Does the source hold [w] at [off, off + len)? *)
@@ -218,7 +222,7 @@ let count b = b.count
 let token b i : Token.located =
   let o = i * stride in
   let d = b.data in
-  let kind = d.(o) in
+  let kind = d.(o) land 15 in
   let token : Token.t =
     (* the codes of the [k_] constants above *)
     if kind <= 8 then
@@ -233,11 +237,11 @@ let token b i : Token.located =
       | 7 -> Exists
       | _ -> Bot
     else
-      let payload = String.sub b.text d.(o + 1) d.(o + 2) in
+      let payload = String.sub b.text d.(o + 1) (d.(o) lsr 4) in
       match kind with
       | 9 -> Ident payload
       | 10 -> Uident payload
       | 11 -> Quoted payload
       | _ -> Number payload
   in
-  { token; line = d.(o + 3); col = d.(o + 4) }
+  { token; line = d.(o + 2) lsr 31; col = d.(o + 2) land max_pos }

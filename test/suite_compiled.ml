@@ -34,7 +34,8 @@ let same_steps d1 d2 =
   && List.for_all2
        (fun s1 s2 ->
          Trigger.equal s1.Derivation.trigger s2.Derivation.trigger
-         && List.equal Atom.equal s1.Derivation.produced s2.Derivation.produced)
+         && List.equal Atom.equal s1.Derivation.produced s2.Derivation.produced
+         && Term.Set.equal s1.Derivation.frontier s2.Derivation.frontier)
        (Derivation.steps d1) (Derivation.steps d2)
 
 let same_derivation d1 d2 =
@@ -43,6 +44,70 @@ let same_derivation d1 d2 =
   && Instance.equal (Derivation.final d1) (Derivation.final d2)
 
 let strategies = [ Restricted.Fifo; Restricted.Lifo; Restricted.Random 42 ]
+
+(* Literal sets for the store/naive identity.  Each holds an exact
+   duplicate TGD (its triggers must dedup as one), two TGDs that differ
+   only in name (two ranks, applied one after the other), constants in
+   bodies and heads, and a head with two existentials (fresh nulls are
+   drawn in variable order). *)
+let literal_sets =
+  List.map Chase_parser.Parser.parse_tgds
+    [
+      "t1: r(X,Y) -> exists Z. r(Y,Z).\n\
+       t1: r(X,Y) -> exists Z. r(Y,Z).\n\
+       t2: r(X,c1), s(X) -> exists Z, W. t(X,W,Z), s(c2).\n\
+       t3: t(X,Y,Z) -> s(Y).\n\
+       t3b: t(X,Y,Z) -> s(Y).";
+      "a: s(X), r(X,c0) -> exists Y. r(c0,Y), t(Y,X,c2).\n\
+       b: t(X,Y,c2) -> exists Z. r(Y,Z).\n\
+       b: t(X,Y,c2) -> exists Z. r(Y,Z).\n\
+       c: t(X,Y,c2) -> exists Z. r(Y,Z).\n\
+       d: r(X,X) -> exists Z, V. t(V,Z,X).";
+    ]
+
+(* The canonical nulls c^{σ,h}_x of one fixed trigger, pinned: the
+   digest key is "name|text|bindings|x", and a change to any part of it
+   renames every canonical null a client has ever seen. *)
+let pinned_canonical () =
+  let tgds = Chase_parser.Parser.parse_tgds "sigma: r(X,Y), s(Y) -> exists Z, W. t(Y,Z,W,c)." in
+  let a = Term.Const "a" and b = Term.Const "b" and c = Term.Const "c" in
+  let db = Instance.of_list [ Atom.make "r" [ a; b ]; Atom.make "s" [ b ] ] in
+  List.iter
+    (fun backend ->
+      let produced naming =
+        List.concat_map
+          (fun s -> s.Derivation.produced)
+          (Derivation.steps (Restricted.run ~backend ~naming tgds db))
+      in
+      let name = Restricted.backend_name backend in
+      let t z w = Atom.to_string (Atom.make "t" [ b; Term.Null z; Term.Null w; c ]) in
+      Alcotest.(check (list string))
+        (name ^ ": canonical nulls")
+        [ t "cace99fe013f1d999" "c04de8b98ac7d3238" ]
+        (List.map Atom.to_string (produced `Canonical));
+      Alcotest.(check (list string))
+        (name ^ ": fresh nulls in variable order")
+        [ t "n1" "n0" ]
+        (List.map Atom.to_string (produced `Fresh)))
+    [ `Naive; `Columnar ]
+
+(* The store engine builds a [Substitution.t] (counted as [plan.key.hom])
+   for the steps it applies, not for the candidates it discovers. *)
+let substitutions_per_step () =
+  List.iter
+    (fun tgds ->
+      let db = random_db tgds 11 in
+      let stats = Obs.Stats.create () in
+      let d =
+        Obs.with_sink (Obs.Stats.sink stats) (fun () -> Restricted.run ~max_steps:60 tgds db)
+      in
+      let count = Obs.Stats.counter stats in
+      Alcotest.(check int) "one substitution per applied step" (Derivation.length d)
+        (count "plan.key.hom");
+      Alcotest.(check int) "restricted.steps" (Derivation.length d) (count "restricted.steps");
+      Alcotest.(check bool) "more candidates than steps" true
+        (count "restricted.pool.push" > Derivation.length d))
+    literal_sets
 
 let properties =
   let open QCheck2 in
@@ -147,6 +212,25 @@ let properties =
                    same_derivation d1 d2)
                  [ `Fresh; `Canonical ])
              strategies));
+    QCheck_alcotest.to_alcotest
+      (Test.make ~name:"restricted chase: store = naive on literal sets (dup, renamed, constants)"
+         ~count:60 (Gen.int_bound 100_000) (fun seed ->
+           List.for_all
+             (fun tgds ->
+               let db =
+                 Chase_workload.Db_gen.random ~schema:(Schema.of_tgds tgds) ~atoms:6 ~domain:3
+                   ~seed
+               in
+               List.for_all
+                 (fun strategy ->
+                   List.for_all
+                     (fun naming ->
+                       same_derivation
+                         (Restricted.run ~backend:`Columnar ~strategy ~naming ~max_steps:60 tgds db)
+                         (Restricted.run ~backend:`Naive ~strategy ~naming ~max_steps:60 tgds db))
+                     [ `Fresh; `Canonical ])
+                 strategies)
+             literal_sets));
     QCheck_alcotest.to_alcotest
       (Test.make ~name:"restricted chase backends agree on WA workloads (terminating)"
          ~count:40 (Gen.int_bound 100_000) (fun seed ->
@@ -260,7 +344,8 @@ let properties =
    re-adds, and a second removal.  After each step the store must agree
    with the reference on every read the engines make, and its interner
    must hold exactly the terms of the surviving rows, ids and terms
-   round-tripping.  Plans run on one source made at the start, as an
+   round-tripping, and the renaming the removal returns must agree with
+   the new ids.  Plans run on one source made at the start, as an
    engine's do, so the relations and ids it caches must follow every
    add and removal. *)
 let homs p src =
@@ -347,9 +432,18 @@ let removal_property =
              (fun (i, ok) a -> (Instance.add a i, ok && Cinstance.add c a = not (Instance.mem a i)))
              (reference, true) atoms
          in
+         (* the renaming [remove] returns carries every surviving
+            term's old id to its new one *)
+         let renamed_ok = ref true in
          let remove reference atoms =
-           Cinstance.remove c atoms;
-           List.fold_left (fun i a -> Instance.remove a i) reference atoms
+           let after = List.fold_left (fun i a -> Instance.remove a i) reference atoms in
+           let survivors = Term.Set.elements (Instance.active_domain after) in
+           let old = List.map (Cinstance.find_id c) survivors in
+           let rename = Cinstance.remove c atoms in
+           renamed_ok :=
+             !renamed_ok
+             && List.for_all2 (fun t id -> rename id = Cinstance.find_id c t) survivors old;
+           after
          in
          let ok0 = check 0 db in
          let r1, added_ok = add db adds in
@@ -360,7 +454,18 @@ let removal_property =
          let r3, readded_ok = add r2 (pick picks2 gone1 @ fresh) in
          let ok3 = check 3 r3 in
          let r4 = remove r3 (pick picks2 (Instance.to_list r3)) in
-         ok0 && added_ok && ok1 && ok2 && readded_ok && ok3 && check 4 r4
+         ok0 && added_ok && ok1 && ok2 && readded_ok && ok3 && check 4 r4 && !renamed_ok
          && Instance.equal (Cinstance.snapshot c) r4))
 
-let suite = [ ("compiled-engine-equivalence", properties @ [ removal_property ]) ]
+let suite =
+  [
+    ( "compiled-engine-equivalence",
+      properties
+      @ [
+          removal_property;
+          Alcotest.test_case "canonical null names are pinned on both engines" `Quick
+            pinned_canonical;
+          Alcotest.test_case "a substitution per applied step, not per candidate" `Quick
+            substitutions_per_step;
+        ] );
+  ]

@@ -330,7 +330,34 @@ let retract_tests =
     ignore (chase_steps s);
     matches_scratch s tgds
   in
-  List.concat_map
+  (* A session stopped by its step budget holds pending candidates as
+     interned ids.  Retracting the only fact that uses a term drops the
+     term from the interner and renumbers every later id, so the
+     pending candidates must be re-keyed to keep naming the same
+     triggers. *)
+  let rekey () =
+    let tgds, db =
+      program
+        "e(X,Y) -> exists Z. f(Y,Z).\nf(X,Y) -> g(X).\n\
+         a(gone). e(c1,c2). e(c2,c3). e(c3,c4). e(c4,c5)."
+    in
+    let s = Incremental.create tgds db in
+    let o = Incremental.chase ~max_steps:2 s in
+    Alcotest.(check bool) "stopped by the budget" false o.Incremental.saturated;
+    let pending = Incremental.pending s in
+    Alcotest.(check bool) "candidates pending" true (pending > 0);
+    let st = Obs.Stats.create () in
+    Obs.with_sink (Obs.Stats.sink st) (fun () ->
+        Alcotest.(check int) "removed" 1 (Incremental.retract_atoms s [ atom "a(gone)" ]));
+    Alcotest.(check int) "a term left the interner" 1
+      (Obs.Stats.counter st "cinstance.compact.terms");
+    Alcotest.(check int) "every pending candidate kept" pending (Incremental.pending s);
+    ignore (chase_steps s);
+    matches_scratch s tgds
+  in
+  Alcotest.test_case "retract re-keys the pending candidates of a budget-stopped session" `Quick
+    rekey
+  :: List.concat_map
     (fun backend ->
       let b = Backend.name (backend :> Backend.t) in
       [
