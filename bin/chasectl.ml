@@ -78,11 +78,11 @@ let with_obs ~stats ~trace_json f =
 
 (* --- backends --------------------------------------------------------- *)
 
-(* One parser for every --backend flag (chase, fuzz, serve), built on
+(* One parser for every --backend flag (chase, serve), built on
    Chase_engine.Backend.of_name so all surfaces reject unknown names
    with the same message; cmdliner attributes it to the offending
    option.  [store_backend_conv] is the restriction to store-backed
-   backends for surfaces that cannot run naive (serve, fuzz). *)
+   backends for surfaces that cannot run naive (serve). *)
 let backend_conv : Chase_engine.Backend.t Arg.conv =
   let parse s =
     match Chase_engine.Backend.of_name s with Ok b -> Ok b | Error msg -> Error (`Msg msg)
@@ -458,7 +458,7 @@ let msol_cmd =
 (* --- fuzz ------------------------------------------------------------ *)
 
 let fuzz_cmd =
-  let run cases seed profiles (_ : Chase_engine.Store.backend list) portfolio jobs no_shrink
+  let run cases seed profiles portfolio jobs no_shrink
       corpus_dir json stats trace_json =
     let profiles =
       match profiles with
@@ -514,16 +514,6 @@ let fuzz_cmd =
             (Printf.sprintf "Fuzzing profile, repeatable (default: all of %s)."
                (String.concat ", " Chase_check.Profile.names)))
   in
-  let fuzz_backend_arg =
-    Arg.(
-      value
-      & opt_all store_backend_conv []
-      & info [ "backend" ] ~docv:"B"
-          ~doc:
-            "Accepted for compatibility, repeatable: $(b,columnar) or its alias \
-             $(b,compiled).  Both name the one store, which the oracle always compares \
-             against the naive reference, so the value changes nothing.")
-  in
   let no_shrink_arg =
     Arg.(value & flag & info [ "no-shrink" ] ~doc:"Report raw failing cases without delta-debugging.")
   in
@@ -550,7 +540,7 @@ let fuzz_cmd =
           cross-engine invariants; failures are delta-debugged to minimal repros (exit 1 on \
           any discrepancy).")
     Term.(
-      const run $ cases_arg $ seed_arg $ profile_arg $ fuzz_backend_arg $ portfolio_arg
+      const run $ cases_arg $ seed_arg $ profile_arg $ portfolio_arg
       $ jobs_arg $ no_shrink_arg $ corpus_arg $ json_arg $ stats_arg $ trace_json_arg)
 
 (* --- serve ----------------------------------------------------------- *)

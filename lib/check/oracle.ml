@@ -109,7 +109,7 @@ let check_restricted ~pool ~budgets tgds db =
   let max_steps = budgets.restricted_steps in
   List.concat_map
     (fun strategy ->
-      let sname = Restricted.strategy_name strategy in
+      let sname = Frontier.strategy_name strategy in
       guarded (Printf.sprintf "restricted(%s)" sname) @@ fun () ->
       let run ?pool naming backend =
         Restricted.run ~backend ~strategy ~max_steps ~naming ?pool tgds db
@@ -338,7 +338,28 @@ let incremental_scenarios ~pool ~budgets ~set tgds db =
             s (settle s)
         end
       in
-      interleaved 2 @ interleaved 3 @ unfolded 3 @ stopped ()
+      (* a fresh session with budget [k] is [Restricted.run ~max_steps:k],
+         literally: same instance, same steps, saturated iff terminated *)
+      let budgeted k =
+        let d =
+          Restricted.run ~strategy:Restricted.Fifo ~max_steps:k ~naming:`Canonical ~pool tgds db
+        in
+        let s = Incremental.create ~strategy:Restricted.Fifo tgds db in
+        let o = Incremental.chase ~epool:pool ~max_steps:k s in
+        let what = Printf.sprintf "%sfresh session with budget %d" set k in
+        if not (Instance.equal (Incremental.instance s) (Derivation.final d)) then
+          fail "incremental-equivalence" "%s: instance differs from Restricted.run's" what
+        else if o.Incremental.steps <> Derivation.length d then
+          fail "incremental-equivalence" "%s: %d steps vs Restricted.run's %d" what
+            o.Incremental.steps (Derivation.length d)
+        else if o.Incremental.saturated <> Derivation.terminated d then
+          fail "incremental-equivalence" "%s: saturated %b vs Restricted.run %s" what
+            o.Incremental.saturated
+            (status_name (Derivation.status d))
+        else []
+      in
+      let full = Derivation.length whole in
+      interleaved 2 @ interleaved 3 @ unfolded 3 @ stopped () @ budgeted (full / 2) @ budgeted full
 
 let check_incremental ~pool ~budgets tgds db =
   incremental_scenarios ~pool ~budgets ~set:"" tgds db

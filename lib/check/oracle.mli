@@ -36,7 +36,10 @@
       already derived (and their re-assert), of every other batch, of
       the rest (which must leave nothing), of every other batch of a
       session that took no snapshot since its first assert, and of half
-      the facts of a session stopped by its step budget.  Every
+      the facts of a session stopped by its step budget.  A fresh
+      session chased with budget [k] (half and all of the derivation's
+      length) must equal [Restricted.run ~max_steps:k] literally: same
+      instance, same step count, saturated iff terminated.  Every
       scenario runs on the drawn set and on its multi-head variant
       ({!Gen.multi_head_variant}).
     - [decider-crash] — [Decider.decide] (and, in portfolio mode,

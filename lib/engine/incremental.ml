@@ -1,31 +1,15 @@
 (* A resumable restricted-chase state — the engine core of
    `chasectl serve` (see incremental.mli for the soundness argument).
 
-   The state is exactly what [Restricted.run] keeps on its stack,
-   lifted into a value that survives between calls: the columnar store
-   and its plan source, the ranked plans ({!Candidate.run}), the head
-   memo, and the pending-candidate pool (the trigger frontier, as id
-   keys).  [assert_atoms] is the semi-naive delta step: each genuinely
-   new atom seeds [Candidate.delta], so only triggers whose body uses a
-   new atom ever enter the pool — never a full re-enumeration.  Monotonicity
-   makes this complete: an instance only grows, so a trigger found
-   inactive (or applied) before the assert stays inactive forever, and
-   every trigger that could have become active matches a new atom.
-
-   Retraction is delete-and-rederive over a step log.  Every applied
-   trigger is logged with its result; one forward pass over the log
-   keeps the steps whose body is still derivable from the surviving
-   base, the atoms only dead steps derived are deleted, and the
-   triggers whose head one of the deleted atoms may have witnessed are
-   re-seeded through [Candidate.witness].  A logged step keeps its
-   [Trigger.t]: the removal renumbers ids, a trigger's terms stay.
-
-   Nulls are always canonical (Def 3.1, [gen = None]): a trigger firing
-   before or after a resume produces the same atom, so resumed runs
-   cannot double-introduce witnesses. *)
+   The state is a {!Frontier.t} that survives between calls, plus the
+   asserted base and a step log: a chase call is {!Frontier.chase}
+   with the log as its recorder, an assert discovers each new atom's
+   delta, and a retraction over-deletes along the log and replays.  A
+   logged step keeps its [Trigger.t]: the removal renumbers ids, a
+   trigger's terms stay.  Nulls are always canonical (Def 3.1), so a
+   trigger firing before or after a resume produces the same atom. *)
 
 open Chase_core
-module Exec = Chase_exec.Pool
 
 type limit = Steps | Wall | Facts
 
@@ -55,13 +39,9 @@ type step = {
 
 type t = {
   tgds : Tgd.t list;
-  strategy : Restricted.strategy;
   backend : Store.backend;
-  run : Candidate.run;  (* the ranked plans over [facts] *)
+  fr : Frontier.t;  (* the chase result so far and its pending candidates *)
   mutable base : Instance.t;  (* accumulated asserted facts *)
-  facts : Cinstance.t;  (* the chase result so far *)
-  mutable memo : Plan.Head_memo.t;
-  mutable pool : Restricted.Cand_pool.t;
   mutable saturated : bool;
   mutable warm : bool;  (* some chase saturated since the last retraction *)
   mutable log : step array;  (* applied triggers, oldest first *)
@@ -72,60 +52,43 @@ type t = {
 }
 
 let create ?(strategy = Restricted.Fifo) ?(backend = `Columnar) tgds database =
-  let facts = (Store.of_instance backend database).facts in
-  let t =
-    {
-      tgds;
-      strategy;
-      backend;
-      (* the session's own plans, not [Plan.of_tgd]'s process-wide
-         cache, which would keep them after the session is gone *)
-      run =
-        Candidate.create (Plan.csource facts)
-          (List.map (fun tgd -> (tgd, Plan.compile tgd)) tgds);
-      base = database;
-      facts;
-      memo = Plan.Head_memo.create ();
-      pool = Restricted.Cand_pool.create strategy;
-      saturated = false;
-      warm = false;
-      log = [||];
-      log_len = 0;
-      retractions = 0;
-      steps_total = 0;
-      chases = 0;
-    }
-  in
-  (* the cold start: every trigger on the database *)
-  Restricted.Cand_pool.push_batch t.pool (Candidate.seed t.run);
-  t
+  {
+    tgds;
+    backend;
+    (* the session's own plans, not [Plan.of_tgd]'s process-wide
+       cache, which would keep them after the session is gone *)
+    fr = Frontier.create ~plan:Plan.compile ~strategy tgds database;
+    base = database;
+    saturated = false;
+    warm = false;
+    log = [||];
+    log_len = 0;
+    retractions = 0;
+    steps_total = 0;
+    chases = 0;
+  }
 
 let tgds t = t.tgds
 let base t = t.base
 let backend t = t.backend
-let instance t = Cinstance.snapshot t.facts
-let mem t atom = Cinstance.mem t.facts atom
-let source t = Candidate.source t.run
-let cardinal t = Cinstance.cardinal t.facts
-let pending t = Restricted.Cand_pool.size t.pool
+let instance t = Cinstance.snapshot (Frontier.facts t.fr)
+let mem t atom = Cinstance.mem (Frontier.facts t.fr) atom
+let source t = Candidate.source (Frontier.run t.fr)
+let cardinal t = Cinstance.cardinal (Frontier.facts t.fr)
+let pending t = Frontier.pending t.fr
 let saturated t = t.saturated
 let warm t = t.warm
 let steps_total t = t.steps_total
 let chases t = t.chases
 let retractions t = t.retractions
 
-(* Delta discovery for one atom: one [plan.delta.seed] pass per plan,
-   pushed as a canonically sorted batch (same discipline as
-   [Restricted.run]). *)
-let discover_delta t atom = Restricted.Cand_pool.push_batch t.pool (Candidate.delta t.run atom)
-
 let assert_atoms t atoms =
   let added =
     List.fold_left
       (fun n atom ->
         t.base <- Instance.add atom t.base;
-        if Cinstance.add t.facts atom then begin
-          discover_delta t atom;
+        if Cinstance.add (Frontier.facts t.fr) atom then begin
+          Frontier.discover t.fr atom;
           n + 1
         end
         else n)
@@ -180,29 +143,12 @@ let over_delete t retracted =
   t.log_len <- !kept;
   gone
 
-(* Replay: keep the pending candidates whose body survived, remove the
-   deleted atoms from the store in place, and re-key the kept ones
-   across the id renumbering the removal does (a surviving body keeps
-   its terms interned) into a fresh pool (the old pool's dedup set
-   remembers every candidate it ever saw, and would drop the ones a
-   later assert rediscovers); then push every candidate a deleted atom
-   may have witnessed the head of. *)
 let replay t gone =
+  let run = Frontier.run t.fr in
   let deleted = List.sort Atom.compare (AtomTbl.fold (fun a () acc -> a :: acc) gone []) in
-  let pending = ref [] in
-  Restricted.Cand_pool.iter t.pool (fun c ->
-      if not (List.exists (AtomTbl.mem gone) (Candidate.body t.run c)) then pending := c :: !pending);
-  let rename = Cinstance.remove t.facts deleted in
-  let pending = List.map (Candidate.rename rename) !pending in
-  t.pool <- Restricted.Cand_pool.create t.strategy;
-  Restricted.Cand_pool.push_batch t.pool (List.sort (Candidate.compare t.run) pending);
-  let kept = Restricted.Cand_pool.size t.pool in
-  List.iter
-    (fun atom -> Restricted.Cand_pool.push_batch t.pool (Candidate.witness t.run atom))
-    deleted;
-  Obs.count "session.retract.deleted" (List.length deleted);
-  Obs.count "session.retract.reseeded" (Restricted.Cand_pool.size t.pool - kept);
-  t.memo <- Plan.Head_memo.create ()
+  let survives c = not (List.exists (AtomTbl.mem gone) (Candidate.body run c)) in
+  Obs.count "session.retract.reseeded" (Frontier.remove t.fr ~keep:survives deleted);
+  Obs.count "session.retract.deleted" (List.length deleted)
 
 let retract_atoms t atoms =
   let present = List.sort_uniq Atom.compare (List.filter (fun a -> Instance.mem a t.base) atoms) in
@@ -217,45 +163,25 @@ let retract_atoms t atoms =
       t.retractions <- t.retractions + 1;
       List.length present
 
-let default_max_steps = Restricted.default_max_steps
-
-let chase ?(epool = Exec.inline) ?(max_steps = default_max_steps) ?deadline ?max_facts t =
+let chase ?epool ?(max_steps = Restricted.default_max_steps) ?deadline ?max_facts t =
   Obs.span "session.chase" @@ fun () ->
   let incremental = t.warm in
   t.chases <- t.chases + 1;
-  let next_active = Restricted.make_next_active ~epool ~run:t.run ~memo:t.memo t.pool in
-  let over_deadline =
-    match deadline with
-    | None -> fun _ -> false
-    | Some hit -> fun steps -> steps land 31 = 0 && hit ()
+  let limit steps =
+    match (deadline, max_facts) with
+    | Some hit, _ when steps land 31 = 0 && hit () -> Some Wall
+    | _, Some cap when cardinal t > cap -> Some Facts
+    | _ -> None
   in
-  let over_facts =
-    match max_facts with
-    | None -> fun () -> false
-    | Some cap -> fun () -> cardinal t > cap
+  let record _ c ~produced ~added _ =
+    let owned = if List.compare_lengths added produced = 0 then produced else added in
+    log_step t { trigger = Candidate.trigger (Frontier.run t.fr) c; produced; owned };
+    Obs.incr "session.steps"
   in
-  let rec go steps =
-    if steps >= max_steps then (steps, Some Steps)
-    else if over_deadline steps then (steps, Some Wall)
-    else if over_facts () then (steps, Some Facts)
-    else
-      match next_active () with
-      | None ->
-          t.saturated <- true;
-          t.warm <- true;
-          (steps, None)
-      | Some c ->
-          (* add the whole result, then discover for every produced
-             atom: [Restricted.run]'s order, so a fresh session derives
-             what [Restricted.run ~naming:`Canonical] does *)
-          let produced, _ = Candidate.instantiate t.run c in
-          let owned = List.filter (Cinstance.add t.facts) produced in
-          List.iter (discover_delta t) produced;
-          let owned = if List.compare_lengths owned produced = 0 then produced else owned in
-          log_step t { trigger = Candidate.trigger t.run c; produced; owned };
-          Obs.incr "session.steps";
-          go (steps + 1)
-  in
-  let steps, limit = go 0 in
+  let steps, limit = Frontier.chase ?epool ~limit ~max_steps ~budget:Steps ~record t.fr in
+  if limit = None then begin
+    t.saturated <- true;
+    t.warm <- true
+  end;
   t.steps_total <- t.steps_total + steps;
   { steps; saturated = t.saturated; incremental; limit }

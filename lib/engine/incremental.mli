@@ -1,13 +1,11 @@
 (** A resumable restricted-chase state: incremental maintenance for
     long-lived sessions (`chasectl serve`).
 
-    A value of type {!t} owns everything [Restricted.run] keeps on its
-    stack — mutable instance, compiled plans, head-satisfaction memo,
-    and the pending-trigger frontier — so a chase can stop (budget) and
-    resume, and new facts can arrive {e after} a chase saturated
-    without re-chasing from scratch: {!assert_atoms} seeds only the
-    delta, via the same [plan.delta.seed] machinery the engines use
-    per produced atom.
+    A value of type {!t} owns the {!Frontier.t} that [Restricted.run]
+    keeps on its stack — store, plans, head memo, pending candidates —
+    so a chase can stop (budget) and resume, and new facts can arrive
+    {e after} a chase saturated without re-chasing from scratch:
+    {!assert_atoms} seeds only the delta ({!Frontier.discover}).
 
     {b Soundness.}  Instances only grow under assert/chase, so trigger
     activity is monotone downwards: candidates found inactive before an
@@ -137,18 +135,16 @@ val assert_atoms : t -> Atom.t list -> int
     [session.retract.deleted] and [session.retract.reseeded]. *)
 val retract_atoms : t -> Atom.t list -> int
 
-val default_max_steps : int
-
-(** Run the chase until saturation or a budget: [max_steps] per call,
-    [deadline] (polled every 32 steps — wall-time admission control),
-    [max_facts] a cap on the instance cardinality.  [epool]
-    parallelizes the activity scan exactly as in [Restricted.run].
-    Resumable: a budget-stopped state continues where it left off on
-    the next call.  A step adds its whole result to the store, then
-    discovers the triggers of every produced atom, in [Restricted.run]'s
-    order; so a fresh state chased to saturation holds exactly
-    [Derivation.final (Restricted.run ~naming:`Canonical)] of the same
-    TGDs, database and strategy. *)
+(** {!Frontier.chase}, the loop of [Restricted.run], until saturation
+    or a budget: [max_steps] per call, [deadline] (polled every 32
+    steps — wall-time admission control), [max_facts] a cap on the
+    instance cardinality.  At [max_steps] the call is saturated iff no
+    pending candidate is active, as a [Restricted.run] is
+    [Terminated]; so a fresh state chased with budget [k] holds exactly
+    [Derivation.final (Restricted.run ~max_steps:k ~naming:`Canonical)]
+    of the same TGDs, database and strategy, and is saturated iff that
+    run terminated.  Resumable: a stopped state continues where it left
+    off on the next call. *)
 val chase :
   ?epool:Chase_exec.Pool.t ->
   ?max_steps:int ->

@@ -88,8 +88,8 @@ let run_naive ~variant ~max_steps tgds database =
   in
   enqueue (Trigger.all_naive tgds database);
   let rec loop instance n =
-    if Queue.is_empty queue then { instance; applications = n; saturated = true }
-    else if n >= max_steps then { instance; applications = n; saturated = false }
+    if Queue.is_empty queue || n >= max_steps then
+      { instance; applications = n; saturated = Queue.is_empty queue }
     else
       let trigger = Queue.pop queue in
       Obs.incr "oblivious.applications";
@@ -104,21 +104,17 @@ let run_naive ~variant ~max_steps tgds database =
   in
   loop database 0
 
-let run_store ~backend ~variant ~max_steps tgds database =
-  let facts = (Store.of_instance backend database).facts in
-  let run =
-    Candidate.create (Plan.csource facts) (List.map (fun tgd -> (tgd, Plan.of_tgd tgd)) tgds)
-  in
+let run_store ~variant ~max_steps tgds database =
+  let facts, run = Frontier.load tgds database in
   let queue = Queue.create () in
   let key =
     match variant with Oblivious -> Fun.id | Semi_oblivious -> Candidate.frontier_key run
   in
   let enqueue = make_enqueue (module Candidate.Tbl) ~key queue in
   enqueue (Candidate.seed run);
-  let snapshot () = Cinstance.snapshot facts in
   let rec loop n =
-    if Queue.is_empty queue then { instance = snapshot (); applications = n; saturated = true }
-    else if n >= max_steps then { instance = snapshot (); applications = n; saturated = false }
+    if Queue.is_empty queue || n >= max_steps then
+      { instance = Cinstance.snapshot facts; applications = n; saturated = Queue.is_empty queue }
     else begin
       let c = Queue.pop queue in
       Obs.incr "oblivious.applications";
@@ -140,7 +136,7 @@ let run ?(backend = `Compiled) ?(variant = Oblivious) ?(max_steps = default_max_
       let r =
         match backend with
         | `Naive -> run_naive ~variant ~max_steps tgds database
-        | (`Compiled | `Columnar) as b -> run_store ~backend:b ~variant ~max_steps tgds database
+        | `Compiled | `Columnar -> run_store ~variant ~max_steps tgds database
       in
       obs_done r;
       r)

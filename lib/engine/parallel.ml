@@ -56,11 +56,7 @@ exception Round_bound
    in two different rounds produces the same atom.  Candidates are
    {!Candidate} keys; only the applied ones become [Trigger.t]s. *)
 let run ?(max_rounds = default_max_rounds) ?(pool = Exec.inline) tgds database =
-  let facts = Cinstance.of_instance database in
-  let run =
-    Candidate.create (Plan.csource facts)
-      (List.map (fun tgd -> (tgd, Plan.of_tgd tgd)) tgds)
-  in
+  let facts, run = Frontier.load tgds database in
   let seen = Candidate.Tbl.create 256 in
   let discovered = ref [] in
   let found = ref 0 in
@@ -72,12 +68,12 @@ let run ?(max_rounds = default_max_rounds) ?(pool = Exec.inline) tgds database =
       discovered := c :: !discovered
     end
   in
-  let unsaturated rounds =
-    { database; rounds = List.rev rounds; final = Cinstance.snapshot facts; saturated = false }
+  let finish rounds saturated =
+    { database; rounds = List.rev rounds; final = Cinstance.snapshot facts; saturated }
   in
   let is_active c = not (Candidate.head_satisfied run c) in
   let rec go candidates rounds i =
-    if i >= max_rounds then unsaturated rounds
+    if i >= max_rounds then finish rounds false
     else begin
       let cands = Array.of_list (List.sort (Candidate.compare run) candidates) in
       let verdicts = Exec.map_array pool is_active cands in
@@ -85,7 +81,7 @@ let run ?(max_rounds = default_max_rounds) ?(pool = Exec.inline) tgds database =
       Array.iteri (fun j c -> if verdicts.(j) then active := c :: !active) cands;
       let active = List.rev !active in
       match active with
-      | [] -> { database; rounds = List.rev rounds; final = Cinstance.snapshot facts; saturated = true }
+      | [] -> finish rounds true
       | _ ->
           (* Inactive candidates are dropped for good (monotonicity);
              applied ones satisfy their own heads from now on. *)
@@ -105,12 +101,12 @@ let run ?(max_rounds = default_max_rounds) ?(pool = Exec.inline) tgds database =
                 (fst (Candidate.instantiate run c)))
             active;
           let rounds = { index = i; applied; after = Cinstance.snapshot facts } :: rounds in
-          if !bounded then unsaturated rounds else go !discovered rounds (i + 1)
+          if !bounded then finish rounds false else go !discovered rounds (i + 1)
     end
   in
   match Candidate.iter_seed run discover with
   | () -> go !discovered [] 0
-  | exception Round_bound -> unsaturated []
+  | exception Round_bound -> finish [] false
 
 let round_count r = List.length r.rounds
 

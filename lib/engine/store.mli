@@ -1,6 +1,5 @@
-(** Loading the fact store that [Restricted], [Oblivious] and
-    [Incremental] chase over: the interned columnar
-    {!Chase_core.Cinstance}, which the engines then call directly.
+(** Loading the fact store that every store engine chases over
+    ({!Frontier.load}): the interned columnar {!Chase_core.Cinstance}.
     The [`Naive] backend has no mutable store (it chases the persistent
     instance directly), hence the narrower backend type here. *)
 

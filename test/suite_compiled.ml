@@ -79,7 +79,7 @@ let pinned_canonical () =
           (fun s -> s.Derivation.produced)
           (Derivation.steps (Restricted.run ~backend ~naming tgds db))
       in
-      let name = Restricted.backend_name backend in
+      let name = Backend.name backend in
       let t z w = Atom.to_string (Atom.make "t" [ b; Term.Null z; Term.Null w; c ]) in
       Alcotest.(check (list string))
         (name ^ ": canonical nulls")

@@ -179,6 +179,28 @@ let property_tests =
    step's first atom joins with its second. *)
 let order_tests =
   [
+    (* A budget that the derivation uses up exactly still ends in a
+       saturated state: no pending candidate is active, on both
+       surfaces, and the step budget is not reported as the stop. *)
+    Alcotest.test_case "a budget of exactly the derivation's length saturates" `Quick (fun () ->
+        let tgds, db =
+          program "a: p(X) -> exists Y. q(X,Y).\nb: q(X,Y) -> r(Y).\np(c1). p(c2)."
+        in
+        let d = Restricted.run ~max_steps:4 tgds db in
+        Alcotest.(check int) "steps" 4 (Derivation.length d);
+        Alcotest.(check bool) "Restricted.run terminated" true (Derivation.terminated d);
+        let naive = Restricted.run ~backend:`Naive ~max_steps:4 tgds db in
+        Alcotest.(check bool) "naive terminated" true (Derivation.terminated naive);
+        let o = Incremental.chase ~max_steps:4 (Incremental.create tgds db) in
+        Alcotest.(check int) "session steps" 4 o.Incremental.steps;
+        Alcotest.(check bool) "session saturated" true o.Incremental.saturated;
+        Alcotest.(check bool) "no limit" true (o.Incremental.limit = None);
+        let short = Incremental.chase ~max_steps:3 (Incremental.create tgds db) in
+        Alcotest.(check bool) "one step short" false short.Incremental.saturated;
+        Alcotest.(check bool) "stopped by steps" true
+          (short.Incremental.limit = Some Incremental.Steps);
+        Alcotest.(check bool) "Restricted.run one step short" false
+          (Derivation.terminated (Restricted.run ~max_steps:3 tgds db)));
     Alcotest.test_case "fresh session derives what Restricted.run does (multi-head)" `Quick
       (fun () ->
         let tgds, db =
@@ -204,14 +226,9 @@ let order_tests =
            let d = Restricted.run ~strategy ~max_steps:60 ~naming:`Canonical tgds db in
            let s = Incremental.create ~strategy tgds db in
            let o = Incremental.chase ~max_steps:60 s in
-           (* a session stops at its budget without draining the pool,
-              so a derivation that ends on exactly the 60th step is
-              Terminated while the session reports unsaturated *)
            Instance.equal (Incremental.instance s) (Derivation.final d)
            && o.Incremental.steps = Derivation.length d
-           &&
-           if Derivation.length d < 60 then o.Incremental.saturated = Derivation.terminated d
-           else not o.Incremental.saturated));
+           && o.Incremental.saturated = Derivation.terminated d));
     (* Retracting part of the database from a saturated multi-head
        session and re-chasing ends in a model of what is left,
        hom-equivalent to a scratch chase of it. *)

@@ -386,6 +386,27 @@ let test_jsonl_chase () =
   check int "one run span" 1 (count (kind_name "span" "restricted.run"));
   check bool "step counters present" true (count (kind_name "counter" "restricted.steps") = 10)
 
+(* The two store-backed chase surfaces share one loop but count their
+   steps apart ([restricted.steps], [session.steps]), so a consumer can
+   add the two without counting a step twice. *)
+let test_step_counters_disjoint () =
+  let tgds, db =
+    let p =
+      Chase_parser.Parser.parse_program
+        "a: p(X) -> exists Y. q(X,Y).\nb: q(X,Y) -> r(Y).\np(c1). p(c2)."
+    in
+    (Chase_parser.Program.tgds p, Chase_parser.Program.database p)
+  in
+  let counters f =
+    let st = Obs.Stats.create () in
+    Obs.with_sink (Obs.Stats.sink st) f;
+    (Obs.Stats.counter st "restricted.steps", Obs.Stats.counter st "session.steps")
+  in
+  let run = counters (fun () -> ignore (Restricted.run tgds db)) in
+  check (Alcotest.pair int int) "Restricted.run" (4, 0) run;
+  let session = counters (fun () -> ignore (Incremental.chase (Incremental.create tgds db))) in
+  check (Alcotest.pair int int) "session chase" (0, 4) session
+
 (* --- observation is passive ------------------------------------------ *)
 
 let same_steps d1 d2 =
@@ -484,6 +505,8 @@ let unit_tests =
     Alcotest.test_case "jsonl string escaping" `Quick test_jsonl_escaping;
     Alcotest.test_case "jsonl non-finite floats" `Quick test_jsonl_nonfinite;
     Alcotest.test_case "jsonl trace of a real chase" `Quick test_jsonl_chase;
+    Alcotest.test_case "restricted and session step counters are disjoint" `Quick
+      test_step_counters_disjoint;
   ]
 
 let suite = [ ("obs", unit_tests); ("obs-passivity", properties) ]

@@ -196,6 +196,21 @@ let test_step_budget_and_resume () =
   let r3 = op ~extra:[ ("max_steps", Json.Int 2) ] srv "chase" in
   Alcotest.(check int) "request cap" 2 (get_int r3 [ "steps" ])
 
+(* A step budget the derivation uses up exactly is not an exhausted
+   budget: the chase reports terminated, and the session answers
+   queries. *)
+let test_exact_step_budget () =
+  let srv = server ~defaults:{ Session.default_budgets with Session.max_steps = 4 } () in
+  check_ok (load srv "a: p(X) -> exists Y. q(X,Y). b: q(X,Y) -> r(Y). p(c1). p(c2).");
+  let r = op srv "chase" in
+  check_ok r;
+  Alcotest.(check string) "status" "terminated" (get_str r [ "status" ]);
+  Alcotest.(check int) "steps" 4 (get_int r [ "steps" ]);
+  Alcotest.(check bool) "no limit" true (Json.member "limit" r = None);
+  let q = op ~extra:[ ("query", Json.Str "q(X,Y) -> ans(X).") ] srv "query" in
+  check_ok q;
+  Alcotest.(check int) "answers" 2 (get_int q [ "count" ])
+
 let test_fact_budget () =
   let srv = server ~defaults:{ Session.default_budgets with Session.max_facts = 8 } () in
   check_ok (load srv diverging);
@@ -581,6 +596,7 @@ let suite =
         Alcotest.test_case "session lifecycle: load, reload, close" `Quick test_lifecycle;
         Alcotest.test_case "admission control replies busy" `Quick test_busy;
         Alcotest.test_case "step budget stops and resumes" `Quick test_step_budget_and_resume;
+        Alcotest.test_case "an exactly used step budget terminates" `Quick test_exact_step_budget;
         Alcotest.test_case "fact budget refuses growth" `Quick test_fact_budget;
         Alcotest.test_case "warm re-chase beats cold" `Quick test_warm_cheaper_than_cold;
         Alcotest.test_case "retract re-chases only the delta" `Quick test_retract_delta;
