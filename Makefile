@@ -9,12 +9,13 @@ test:
 bench:
 	dune exec bench/main.exe
 
-# Small-size engine benchmarks (E11, the E12 scaling sweep and the E15
-# portfolio-vs-fixed decider race), writes BENCH_results.json.
+# Small-size engine benchmarks (E11, the E12 scaling sweep, the E15
+# portfolio-vs-fixed decider race and the E24 parse split), writes
+# BENCH_results.json.
 # JOBS caps the E12 domain sweep, e.g. `make bench-smoke JOBS=2`.
 JOBS ?= 1
 bench-smoke:
-	dune exec bench/main.exe -- --json --smoke --jobs $(JOBS) E11 E12 E15
+	dune exec bench/main.exe -- --json --smoke --jobs $(JOBS) E11 E12 E15 E24
 
 # Differential fuzzing across the engine matrix (DESIGN.md §8); exits
 # nonzero with a shrunk repro on any cross-engine discrepancy, e.g.

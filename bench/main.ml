@@ -1,5 +1,5 @@
 (* The benchmark harness: regenerates every experiment of EXPERIMENTS.md
-   (E1–E12, E15).  The paper is a theory paper with no measured tables; these
+   (E1–E12, E15, E24).  The paper is a theory paper with no measured tables; these
    experiments check its qualitative claims and measure the implemented
    systems.  Run with
 
@@ -977,10 +977,122 @@ let e15 () =
     ~header:[ "fixed method"; "portfolio winner"; "wins" ]
     rows
 
+(* ------------------------------------------------------------------ *)
+(* E24: where a program's parse time goes.  The E11 hub programs are    *)
+(* printed with their facts shuffled, the order a loader cannot rely   *)
+(* on, and each repeat times three passes over the same text: the lexer *)
+(* alone (every token, nothing kept), the full parse (lexer, parser and *)
+(* the bulk database build) and [Instance.of_list] on the shuffled      *)
+(* facts by itself.  Rows give the median and quartiles over repeats.   *)
+(* ------------------------------------------------------------------ *)
+
+let e24 () =
+  let module S = Chase_workload.St_mapping in
+  let programs =
+    if !smoke then [ S.hub_propagation ~n:60 ~pad:240; S.hub_exchange ~n:50 ~pad:400 ]
+    else [ S.hub_propagation ~n:2000 ~pad:8000; S.hub_exchange ~n:1500 ~pad:12000 ]
+  in
+  let repeats = if !smoke then 5 else 21 in
+  (* a repeat runs its pass often enough to last about this long *)
+  let target_s = if !smoke then 0.002 else 0.02 in
+  (* median and quartiles of a pass, in ms per run *)
+  let spread f =
+    Obs.suspended @@ fun () ->
+    let t0 = Unix.gettimeofday () in
+    f ();
+    let once = Unix.gettimeofday () -. t0 in
+    let iters = max 1 (int_of_float (target_s /. Float.max once 1e-6)) in
+    let per_run =
+      Array.init repeats (fun _ ->
+          let t0 = Unix.gettimeofday () in
+          for _ = 1 to iters do
+            f ()
+          done;
+          (Unix.gettimeofday () -. t0) *. 1e3 /. float_of_int iters)
+    in
+    Array.sort Float.compare per_run;
+    let at q = per_run.(int_of_float (Float.round (q *. float_of_int (repeats - 1)))) in
+    (at 0.5, at 0.25, at 0.75)
+  in
+  let rows =
+    List.map
+      (fun (s : S.scenario) ->
+        let rng = Random.State.make [| 24 |] in
+        let facts =
+          Instance.to_list s.S.database
+          |> List.map (fun a -> (Random.State.bits rng, a))
+          |> List.sort compare |> List.map snd
+        in
+        let src =
+          String.concat "\n"
+            (List.map Chase_parser.Printer.print_tgd s.S.tgds
+            @ List.map Chase_parser.Printer.print_fact facts)
+        in
+        let p = Chase_parser.Parser.parse_program src in
+        assert (Instance.equal (Chase_parser.Program.database p) s.S.database);
+        let mb = float_of_int (String.length src) /. 1e6 in
+        let lex () = Chase_parser.Lexer.(scan_rest (make src)) in
+        let parse () = ignore (Chase_parser.Parser.parse_program src) in
+        let load () = ignore (Instance.of_list facts) in
+        (* [Gc.minor_words], exact, where a [Gc.quick_stat] delta may miss
+           the words since the last minor collection *)
+        let words f =
+          let w0 = Gc.minor_words () in
+          f ();
+          Gc.minor_words () -. w0
+        in
+        let lex_words = words lex and parse_words = words parse in
+        let ((lex_ms, _, _) as lex_s) = spread lex in
+        let ((parse_ms, _, _) as parse_s) = spread parse in
+        let load_s = spread load in
+        let mb_per_s ms = mb /. (ms /. 1e3) in
+        let fields key (p50, p25, p75) =
+          [ (key ^ "_ms", Num p50); (key ^ "_ms_p25", Num p25); (key ^ "_ms_p75", Num p75) ]
+        in
+        record "E24"
+          ([
+             ("program", Str s.S.name);
+             ("bytes", Int (String.length src));
+             ("facts", Int (List.length facts));
+             ("repeats", Int repeats);
+           ]
+          @ fields "lex" lex_s @ fields "parse" parse_s @ fields "of_list" load_s
+          @ [
+              ("lex_mb_per_s", Num (mb_per_s lex_ms));
+              ("parse_mb_per_s", Num (mb_per_s parse_ms));
+              ("lex_minor_words", Num lex_words);
+              ("parse_minor_words", Num parse_words);
+            ]);
+        let cell (p50, p25, p75) = Printf.sprintf "%.3f [%.3f, %.3f]" p50 p25 p75 in
+        [
+          s.S.name;
+          Printf.sprintf "%.0f" (float_of_int (String.length src) /. 1e3);
+          cell lex_s;
+          cell parse_s;
+          cell load_s;
+          Printf.sprintf "%.0f" (mb_per_s lex_ms);
+          Printf.sprintf "%.0f" (mb_per_s parse_ms);
+          Printf.sprintf "%.0f" lex_words;
+          Printf.sprintf "%.0f" parse_words;
+        ])
+      programs
+  in
+  table
+    ~title:
+      (Printf.sprintf
+         "E24  parse split on the E11 hub programs, facts shuffled (ms per run, median \
+          [p25, p75] of %d repeats)"
+         repeats)
+    ~header:
+      [ "program"; "KB"; "lex only"; "full parse"; "Instance.of_list"; "lex MB/s"; "parse MB/s";
+        "lex words"; "parse words" ]
+    rows
+
 let experiments =
   [
     ("E1", e1); ("E2", e2); ("E3", e3); ("E4", e4); ("E5", e5); ("E6", e6); ("E7", e7);
     ("E8", e8); ("E9", e9); ("E10", e10); ("E11", e11); ("E12", e12); ("E15", e15);
+    ("E24", e24);
   ]
 
 (* Each experiment runs under a stats sink so BENCH_results.json carries

@@ -320,8 +320,18 @@ let try_match st (env : Term.t option array) (trail : int array) tcur atom =
     end
   end
 
+(* [min |s| limit]: [Atom.Set.cardinal] walks the whole tree, which on a
+   hub slice costs more than the probe it chooses. *)
+let cardinal_upto limit s =
+  let rec go n seq =
+    if n >= limit then n else match seq () with Seq.Nil -> n | Seq.Cons (_, rest) -> go (n + 1) rest
+  in
+  go 0 (Atom.Set.to_seq s)
+
 (* Candidate atoms for a step: cheapest statically-bound index, else a
-   predicate scan.  An index probe of cardinality 0 short-circuits. *)
+   predicate scan.  An index probe of cardinality 0 short-circuits.  A
+   posting is counted only up to the best count so far, which picks the
+   same posting as full counts would. *)
 let iter_candidates inst st env f =
   if Array.length st.bound = 0 then begin
     Obs.incr "plan.probe.scan";
@@ -333,7 +343,7 @@ let iter_candidates inst st env f =
       (fun (pos, p) ->
         let v = match p with Fixed t -> t | S s -> Option.get env.(s) in
         let atoms = Instance.with_pred_pos_term inst st.pred pos v in
-        let c = Atom.Set.cardinal atoms in
+        let c = cardinal_upto !best_c atoms in
         if c < !best_c then begin
           best_c := c;
           best := atoms

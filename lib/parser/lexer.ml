@@ -1,23 +1,53 @@
-(* A hand-written lexer for the Datalog± surface syntax.
+(* A hand-written streaming lexer for the Datalog± surface syntax.
 
-   The state is a byte offset into the source plus the offset at which
-   the current line starts; a column is computed only when a token or an
-   error needs one.  Lookahead reads the source directly, with an explicit
-   end-of-input test, so scanning allocates nothing per character. *)
+   A cursor lexes one token on demand into its own mutable fields: the
+   token's kind (one of the [k_] codes), the offset and length of its
+   payload in the source, and its line and column.  Nothing is boxed and
+   no substring is cut: the parser reads the kind as an int and cuts
+   [payload] only for a term, a predicate or a name, and builds a
+   [Token.t] only to print an error.  The scanning state is a byte offset
+   into the source plus the offset at which the current line starts; a
+   column is computed once per token.  Lookahead reads the source
+   directly, with an explicit end-of-input test, so lexing a token
+   allocates nothing. *)
 
 exception Error of { line : int; col : int; msg : string }
 
 let error line col fmt = Format.kasprintf (fun msg -> raise (Error { line; col; msg })) fmt
 
-type state = {
+type t = {
   src : string;
   len : int;
   mutable pos : int;
   mutable line : int;
   mutable line_start : int;  (* offset of the first byte of [line] *)
+  (* the current token *)
+  mutable kind : int;
+  mutable off : int;  (* payload offset; a quoted constant's is past its quote *)
+  mutable tlen : int;  (* payload length *)
+  mutable tline : int;
+  mutable tcol : int;
 }
 
-let make src = { src; len = String.length src; pos = 0; line = 1; line_start = 0 }
+(* The kinds of token, as [kind] holds them; [token] names each. *)
+let k_eof = 0
+and k_lparen = 1
+and k_rparen = 2
+and k_comma = 3
+and k_arrow = 4
+and k_dot = 5
+and k_colon = 6
+and k_exists = 7
+and k_bot = 8
+and k_ident = 9
+and k_uident = 10
+and k_quoted = 11
+and k_number = 12
+
+(* A cursor before the first token; [next] lexes it. *)
+let make src =
+  { src; len = String.length src; pos = 0; line = 1; line_start = 0; kind = -1; off = 0; tlen = 0;
+    tline = 1; tcol = 1 }
 
 (* 1-based byte column of [pos]. *)
 let col st = st.pos - st.line_start + 1
@@ -61,9 +91,9 @@ let rec skip_trivia st =
 
 (* Up to, not past, the end of the line. *)
 and skip_line st =
-  match String.index_from_opt st.src st.pos '\n' with
-  | Some j -> st.pos <- j
-  | None -> st.pos <- st.len
+  while (not (at_end st)) && cur st <> '\n' do
+    st.pos <- st.pos + 1
+  done
 
 (* Neither words nor digit runs contain a line break, so these move [pos]
    alone. *)
@@ -81,18 +111,18 @@ let rec skip_digits st =
 
 (* A quoted constant is the raw bytes between the quotes, line breaks
    included; [pos] ends past the closing quote. *)
+let rec skip_quoted st line col =
+  if at_end st then error line col "unterminated string"
+  else if cur st = '"' then advance st
+  else begin
+    advance st;
+    skip_quoted st line col
+  end
+
 let lex_quoted st =
   let line = st.line and col = col st in
   advance st (* opening quote *);
-  let rec go () =
-    if at_end st then error line col "unterminated string"
-    else if cur st = '"' then advance st
-    else begin
-      advance st;
-      go ()
-    end
-  in
-  go ()
+  skip_quoted st line col
 
 (* Integer constants: a maximal digit run.  A digit run glued to
    identifier characters ("123foo") is a malformed token, not a
@@ -107,70 +137,27 @@ let lex_number st =
       (String.sub st.src start (st.pos - start))
   end
 
-(* The token stream of a whole input, packed three ints per token in one
-   array: kind and payload length ([kind lor (len lsl 4)]), payload
-   offset, and line and column ([(line lsl 31) lor col], each capped at
-   [max_pos]).  A token is boxed into a [Token.located] only when the
-   parser reaches it, so lexing a large program leaves no per-token heap
-   blocks behind; the array is the lexer's one large allocation, and the
-   largest of a parse. *)
-type tokens = { text : string; mutable data : int array; mutable count : int }
-
-let stride = 3
-
-(* 2^31 - 1: a line or column past it (a 2 GiB line) is reported as it *)
-let max_pos = 0x7fffffff
-
-let k_eof = 0
-and k_lparen = 1
-and k_rparen = 2
-and k_comma = 3
-and k_arrow = 4
-and k_dot = 5
-and k_colon = 6
-and k_exists = 7
-and k_bot = 8
-and k_ident = 9
-and k_uident = 10
-and k_quoted = 11
-and k_number = 12
-
-let push b kind off len line col =
-  let o = b.count * stride in
-  if o + stride > Array.length b.data then begin
-    let data = Array.make (2 * Array.length b.data) 0 in
-    Array.blit b.data 0 data 0 o;
-    b.data <- data
-  end;
-  let d = b.data in
-  d.(o) <- kind lor (len lsl 4);
-  d.(o + 1) <- off;
-  d.(o + 2) <- (min line max_pos lsl 31) lor min col max_pos;
-  b.count <- b.count + 1
-
 (* Does the source hold [w] at [off, off + len)? *)
-let is_word src off len w =
-  len = String.length w
-  &&
-  let rec go k = k = len || (String.unsafe_get src (off + k) = String.unsafe_get w k && go (k + 1)) in
-  go 0
+let rec same_from src off w k =
+  k = String.length w
+  || (String.unsafe_get src (off + k) = String.unsafe_get w k && same_from src off w (k + 1))
+
+let is_word src off len w = len = String.length w && same_from src off w 0
 
 (* Step over a one-byte token. *)
 let step st kind =
   st.pos <- st.pos + 1;
   kind
 
-(* Lex one token into [b]; false once it was [Eof]. *)
-let lex_one b st =
+(* Lex the next token into [st]'s token fields.  At the end of input the
+   token is [Eof], and stays [Eof] on further calls. *)
+let next st =
   skip_trivia st;
   let line = st.line and col = col st in
   let start = st.pos in
-  if at_end st then begin
-    push b k_eof start 0 line col;
-    false
-  end
-  else begin
-    let kind =
+  let kind =
+    if at_end st then k_eof
+    else
       match cur st with
       | '(' -> step st k_lparen
       | ')' -> step st k_rparen
@@ -197,51 +184,44 @@ let lex_one b st =
           else if is_word st.src start len "false" then k_bot
           else k_ident
       | c -> error line col "unexpected character %C" c
-    in
-    (* a quoted constant's payload is without its quotes *)
-    if kind = k_quoted then push b kind (start + 1) (st.pos - start - 2) line col
-    else push b kind start (st.pos - start) line col;
-    true
+  in
+  st.kind <- kind;
+  st.tline <- line;
+  st.tcol <- col;
+  (* a quoted constant's payload is without its quotes *)
+  if kind = k_quoted then begin
+    st.off <- start + 1;
+    st.tlen <- st.pos - start - 2
+  end
+  else begin
+    st.off <- start;
+    st.tlen <- st.pos - start
   end
 
-(* Tokenize the whole input up front, so a lexical error anywhere wins
-   over a syntax error before it.  The stream always ends with [Eof]. *)
-let tokenize src =
-  (* program text runs about 2.3 bytes per token; room for one token per
-     two bytes makes regrowing rare *)
-  let b = { text = src; data = Array.make (stride * (16 + (String.length src / 2))) 0; count = 0 } in
-  let st = make src in
-  while lex_one b st do
-    ()
-  done;
-  b
+(* Lex past the end of input without keeping a token, so that a lexical
+   error after the current token still wins over a syntax error before
+   it. *)
+let scan_rest st =
+  while st.kind <> k_eof do
+    next st
+  done
 
-let count b = b.count
+(* The current token's payload. *)
+let payload st = String.sub st.src st.off st.tlen
 
-(* The [i]th token, boxed. *)
-let token b i : Token.located =
-  let o = i * stride in
-  let d = b.data in
-  let kind = d.(o) land 15 in
-  let token : Token.t =
-    (* the codes of the [k_] constants above *)
-    if kind <= 8 then
-      match kind with
-      | 0 -> Eof
-      | 1 -> Lparen
-      | 2 -> Rparen
-      | 3 -> Comma
-      | 4 -> Arrow
-      | 5 -> Dot
-      | 6 -> Colon
-      | 7 -> Exists
-      | _ -> Bot
-    else
-      let payload = String.sub b.text d.(o + 1) (d.(o) lsr 4) in
-      match kind with
-      | 9 -> Ident payload
-      | 10 -> Uident payload
-      | 11 -> Quoted payload
-      | _ -> Number payload
-  in
-  { token; line = d.(o + 2) lsr 31; col = d.(o + 2) land max_pos }
+(* The current token, boxed, for an error message. *)
+let token st : Token.t =
+  let kind = st.kind in
+  if kind = k_eof then Eof
+  else if kind = k_lparen then Lparen
+  else if kind = k_rparen then Rparen
+  else if kind = k_comma then Comma
+  else if kind = k_arrow then Arrow
+  else if kind = k_dot then Dot
+  else if kind = k_colon then Colon
+  else if kind = k_exists then Exists
+  else if kind = k_bot then Bot
+  else if kind = k_ident then Ident (payload st)
+  else if kind = k_uident then Uident (payload st)
+  else if kind = k_quoted then Quoted (payload st)
+  else Number (payload st)

@@ -16,111 +16,115 @@ open Chase_core
 
 exception Error of { line : int; col : int; msg : string }
 
-let error (t : Token.located) fmt =
-  Format.kasprintf (fun msg -> raise (Error { line = t.line; col = t.col; msg })) fmt
+let error_at line col fmt = Format.kasprintf (fun msg -> raise (Error { line; col; msg })) fmt
 
-(* A cursor over [Lexer.tokenize]'s stream, which always ends with an
-   [Eof] token; [advance] keeps that final token, so the stream is never
-   exhausted.  [cur] is the boxed token at [i]. *)
-type state = { toks : Lexer.tokens; mutable i : int; mutable cur : Token.located }
+(* The lexer's cursor, whose current token is the parser's lookahead, and
+   a reusable buffer for the terms of the atom being parsed. *)
+type state = { lx : Lexer.t; mutable terms : Term.t array }
 
-let cursor src =
-  let toks = Lexer.tokenize src in
-  { toks; i = 0; cur = Lexer.token toks 0 }
+let kind st = st.lx.Lexer.kind
+let advance st = Lexer.next st.lx
 
-let peek st = st.cur
+(* An error at the current token, naming it. *)
+let unexpected st fmt =
+  let lx = st.lx in
+  Format.kasprintf
+    (fun what ->
+      error_at lx.Lexer.tline lx.Lexer.tcol "%s, found %s" what (Token.to_string (Lexer.token lx)))
+    fmt
 
-let peek2 st = if st.i + 1 < Lexer.count st.toks then Some (Lexer.token st.toks (st.i + 1)) else None
-
-let advance st =
-  if st.i + 1 < Lexer.count st.toks then begin
-    st.i <- st.i + 1;
-    st.cur <- Lexer.token st.toks st.i
-  end
-
-let expect st token =
-  let t = peek st in
-  if t.token = token then advance st
-  else error t "expected %s, found %s" (Token.to_string token) (Token.to_string t.token)
+let expect st k token =
+  if kind st = k then advance st else unexpected st "expected %s" (Token.to_string token)
 
 let parse_term st =
-  let t = peek st in
-  match t.token with
-  | Token.Uident v ->
-      advance st;
-      Term.Var v
-  | Token.Ident c ->
-      advance st;
-      Term.Const c
-  | Token.Quoted c ->
-      advance st;
-      Term.Const c
-  | Token.Number c ->
-      advance st;
-      Term.Const c
-  | tok -> error t "expected a term, found %s" (Token.to_string tok)
+  let k = kind st in
+  let mk =
+    if k = Lexer.k_uident then Term.var
+    else if k = Lexer.k_ident || k = Lexer.k_quoted || k = Lexer.k_number then Term.const
+    else unexpected st "expected a term"
+  in
+  let tm = mk (Lexer.payload st.lx) in
+  advance st;
+  tm
+
+let push_term st n tm =
+  if n = Array.length st.terms then begin
+    let terms = Array.make (2 * n) tm in
+    Array.blit st.terms 0 terms 0 n;
+    st.terms <- terms
+  end;
+  st.terms.(n) <- tm
+
+(* Terms from the [n]th on, and the closing parenthesis; the number of
+   terms. *)
+let rec parse_terms st n =
+  push_term st n (parse_term st);
+  let k = kind st in
+  if k = Lexer.k_comma then begin
+    advance st;
+    parse_terms st (n + 1)
+  end
+  else if k = Lexer.k_rparen then begin
+    advance st;
+    n + 1
+  end
+  else unexpected st "expected ',' or ')'"
+
+(* The rest of an atom whose predicate has been read:  '(' terms ')'. *)
+let parse_args st pred =
+  expect st Lexer.k_lparen Token.Lparen;
+  let n = parse_terms st 0 in
+  Atom.make_a pred (Array.sub st.terms 0 n)
 
 let parse_atom st =
-  let t = peek st in
-  match t.token with
-  | Token.Ident pred ->
-      advance st;
-      expect st Token.Lparen;
-      let rec terms acc =
-        let tm = parse_term st in
-        let t = peek st in
-        match t.token with
-        | Token.Comma ->
-            advance st;
-            terms (tm :: acc)
-        | Token.Rparen ->
-            advance st;
-            List.rev (tm :: acc)
-        | tok -> error t "expected ',' or ')', found %s" (Token.to_string tok)
-      in
-      Atom.make pred (terms [])
-  | tok -> error t "expected a predicate, found %s" (Token.to_string tok)
+  if kind st = Lexer.k_ident then begin
+    let pred = Lexer.payload st.lx in
+    advance st;
+    parse_args st pred
+  end
+  else unexpected st "expected a predicate"
 
-let parse_atoms st =
-  let rec go acc =
-    let a = parse_atom st in
-    let t = peek st in
-    match t.token with
-    | Token.Comma ->
-        advance st;
-        go (a :: acc)
-    | _ -> List.rev (a :: acc)
-  in
-  go []
+let rec more_atoms st acc =
+  if kind st = Lexer.k_comma then begin
+    advance st;
+    more_atoms st (parse_atom st :: acc)
+  end
+  else List.rev acc
+
+(* atoms, the first of which is [first] *)
+let parse_more_atoms st first =
+  if kind st = Lexer.k_comma then more_atoms st [ first ] else [ first ]
+
+let parse_atoms st = parse_more_atoms st (parse_atom st)
 
 (* ['exists' vars '.'] atoms *)
 let parse_head st =
-  let t = peek st in
-  match t.token with
-  | Token.Exists ->
-      advance st;
-      let rec vars acc =
-        let t = peek st in
-        match t.token with
-        | Token.Uident v -> (
-            advance st;
-            let t2 = peek st in
-            match t2.token with
-            | Token.Comma ->
-                advance st;
-                vars (v :: acc)
-            | Token.Dot ->
-                advance st;
-                List.rev (v :: acc)
-            | tok -> error t2 "expected ',' or '.', found %s" (Token.to_string tok))
-        | tok -> error t "expected a variable after 'exists', found %s" (Token.to_string tok)
-      in
-      let vs = vars [] in
-      let atoms = parse_atoms st in
-      (vs, atoms)
-  | _ -> ([], parse_atoms st)
+  if kind st = Lexer.k_exists then begin
+    advance st;
+    let rec vars acc =
+      if kind st = Lexer.k_uident then begin
+        let v = Lexer.payload st.lx in
+        advance st;
+        let k = kind st in
+        if k = Lexer.k_comma then begin
+          advance st;
+          vars (v :: acc)
+        end
+        else if k = Lexer.k_dot then begin
+          advance st;
+          List.rev (v :: acc)
+        end
+        else unexpected st "expected ',' or '.'"
+      end
+      else unexpected st "expected a variable after 'exists'"
+    in
+    let vs = vars [] in
+    let atoms = parse_atoms st in
+    (vs, atoms)
+  end
+  else ([], parse_atoms st)
 
-let check_explicit_existentials (t : Token.located) tgd declared =
+let check_explicit_existentials (line, col) tgd declared =
   match declared with
   | [] -> ()
   | _ ->
@@ -128,70 +132,91 @@ let check_explicit_existentials (t : Token.located) tgd declared =
       List.iter
         (fun v ->
           if not (Term.Set.mem (Term.Var v) actual) then
-            error t "variable %s is declared existential but occurs in the body" v)
+            error_at line col "variable %s is declared existential but occurs in the body" v)
         declared;
       Term.Set.iter
         (fun x ->
           match x with
           | Term.Var v ->
               if not (List.mem v declared) then
-                error t "existential variable %s missing from the 'exists' list" v
+                error_at line col "existential variable %s missing from the 'exists' list" v
           | Term.Const _ | Term.Null _ -> ())
         actual
 
 let parse_item st ~auto_name =
-  let start = peek st in
-  (* optional  name ':'  prefix *)
-  let name =
-    match (start.token, peek2 st) with
-    | (Token.Ident n | Token.Uident n), Some { token = Token.Colon; _ } ->
+  let lx = st.lx in
+  let ((line, col) as start) = (lx.Lexer.tline, lx.Lexer.tcol) in
+  (* an optional  name ':'  prefix: a word followed by a colon; a
+     lowercase word followed by anything else is the first predicate *)
+  let name, first_atoms =
+    let k = kind st in
+    if k = Lexer.k_ident || k = Lexer.k_uident then begin
+      let word = Lexer.payload lx in
+      advance st;
+      if kind st = Lexer.k_colon then begin
         advance st;
-        advance st;
-        Some n
-    | _ -> None
+        (Some word, parse_atoms st)
+      end
+      else if k = Lexer.k_ident then (None, parse_more_atoms st (parse_args st word))
+      else error_at line col "expected a predicate, found %s" (Token.to_string (Uident word))
+    end
+    else (None, parse_atoms st)
   in
-  let first_atoms = parse_atoms st in
-  let t = peek st in
-  match t.token with
-  | Token.Dot -> (
-      advance st;
-      match (name, first_atoms) with
-      | None, [ a ] ->
-          if not (Atom.is_fact a) then error start "facts must be variable-free";
-          `Fact a
-      | None, _ -> error t "a fact is a single atom"
-      | Some _, _ -> error start "facts cannot be named")
-  | Token.Arrow ->
-      advance st;
-      let declared, head = parse_head st in
-      expect st Token.Dot;
-      let name = match name with Some n -> n | None -> auto_name () in
-      let tgd =
-        try Tgd.make ~name ~body:first_atoms ~head ()
-        with Tgd.Ill_formed msg -> error start "%s" msg
-      in
-      check_explicit_existentials start tgd declared;
-      `Tgd tgd
-  | tok -> error t "expected '.' or '->', found %s" (Token.to_string tok)
+  let k = kind st in
+  if k = Lexer.k_dot then begin
+    let dot_line = lx.Lexer.tline and dot_col = lx.Lexer.tcol in
+    advance st;
+    match (name, first_atoms) with
+    | None, [ a ] ->
+        if not (Atom.is_fact a) then error_at line col "facts must be variable-free";
+        `Fact a
+    | None, _ -> error_at dot_line dot_col "a fact is a single atom"
+    | Some _, _ -> error_at line col "facts cannot be named"
+  end
+  else if k = Lexer.k_arrow then begin
+    advance st;
+    let declared, head = parse_head st in
+    expect st Lexer.k_dot Token.Dot;
+    let name = match name with Some n -> n | None -> auto_name () in
+    let tgd =
+      try Tgd.make ~name ~body:first_atoms ~head ()
+      with Tgd.Ill_formed msg -> error_at line col "%s" msg
+    in
+    check_explicit_existentials start tgd declared;
+    `Tgd tgd
+  end
+  else unexpected st "expected '.' or '->'"
+
+(* Run [f] on a cursor over [src] at its first token.  A lexical error
+   anywhere wins over a syntax error before it: on a syntax error the
+   rest of the input is lexed, and its first lexical error, if any, is
+   raised instead. *)
+let with_cursor src f =
+  let st = { lx = Lexer.make src; terms = Array.make 8 (Term.Var "") } in
+  try
+    advance st;
+    f st
+  with Error _ as e ->
+    Lexer.scan_rest st.lx;
+    raise e
 
 let parse_program src =
-  let st = cursor src in
-  let counter = ref 0 in
-  let auto_name () =
-    incr counter;
-    Printf.sprintf "s%d" !counter
-  in
-  (* both collected newest first; the database is built in one bulk pass *)
-  let rec go tgds facts =
-    let t = peek st in
-    match t.token with
-    | Token.Eof -> Program.make ~tgds:(List.rev tgds) ~database:(Instance.of_list facts)
-    | _ -> (
-        match parse_item st ~auto_name with
-        | `Fact a -> go tgds (a :: facts)
-        | `Tgd tgd -> go (tgd :: tgds) facts)
-  in
-  go [] []
+  with_cursor src (fun st ->
+      let counter = ref 0 in
+      let auto_name () =
+        incr counter;
+        Printf.sprintf "s%d" !counter
+      in
+      (* both collected newest first; the database is built in one bulk pass *)
+      let rec go tgds facts =
+        if kind st = Lexer.k_eof then
+          Program.make ~tgds:(List.rev tgds) ~database:(Instance.of_list facts)
+        else
+          match parse_item st ~auto_name with
+          | `Fact a -> go tgds (a :: facts)
+          | `Tgd tgd -> go (tgd :: tgds) facts
+      in
+      go [] [])
 
 let parse_tgds src = Program.tgds (parse_program src)
 
@@ -203,12 +228,14 @@ let parse_tgd src =
 let parse_database src = Program.database (parse_program src)
 
 let parse_atom_exn src =
-  let st = cursor src in
-  let a = parse_atom st in
-  (match (peek st).token with
-  | Token.Eof | Token.Dot -> ()
-  | tok -> error (peek st) "trailing input: %s" (Token.to_string tok));
-  a
+  with_cursor src (fun st ->
+      let a = parse_atom st in
+      let k = kind st in
+      if k <> Lexer.k_eof && k <> Lexer.k_dot then
+        error_at st.lx.Lexer.tline st.lx.Lexer.tcol "trailing input: %s"
+          (Token.to_string (Lexer.token st.lx));
+      Lexer.scan_rest st.lx;
+      a)
 
 let load_file path =
   let ic = open_in_bin path in

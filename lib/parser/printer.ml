@@ -6,12 +6,21 @@ open Chase_core
 
 let is_var_name s = String.length s > 0 && (match s.[0] with 'A' .. 'Z' | '_' -> true | _ -> false)
 
-let is_bare_const s =
+let is_word_char = function 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' | '\'' -> true | _ -> false
+
+(* A word the lexer reads as an identifier: lowercase-initial, and not
+   one of the keywords. *)
+let is_ident s =
   String.length s > 0
-  && (match s.[0] with 'a' .. 'z' | '0' .. '9' -> true | _ -> false)
-  && String.for_all
-       (function 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' | '\'' -> true | _ -> false)
-       s
+  && (match s.[0] with 'a' .. 'z' -> true | _ -> false)
+  && String.for_all is_word_char s && s <> "exists" && s <> "false"
+
+let is_number s = String.length s > 0 && String.for_all (function '0' .. '9' -> true | _ -> false) s
+let is_bare_const s = is_ident s || is_number s
+
+(* The lexer reads a quoted constant's bytes raw, line breaks included,
+   so only a constant holding a double quote cannot be written back. *)
+let quote s = if String.contains s '"' then Printf.sprintf "%S" s else "\"" ^ s ^ "\""
 
 (* A renaming of the TGD's variables into concrete-syntax variable names,
    injective by construction. *)
@@ -40,8 +49,8 @@ let var_renaming tgd =
 
 let print_term rename = function
   | Term.Var v -> rename v
-  | Term.Const c -> if is_bare_const c then c else Printf.sprintf "%S" c
-  | Term.Null n -> Printf.sprintf "%S" ("_:" ^ n)
+  | Term.Const c -> if is_bare_const c then c else quote c
+  | Term.Null n -> quote ("_:" ^ n)
 
 let print_atom rename a =
   Printf.sprintf "%s(%s)" (Atom.pred a)
@@ -65,7 +74,10 @@ let print_tgd tgd =
       ^ ". "
   in
   let name = Tgd.name tgd in
-  let prefix = if name <> "" && is_bare_const name then name ^ ": " else "" in
+  let prefix =
+    if is_ident name || (is_var_name name && String.for_all is_word_char name) then name ^ ": "
+    else ""
+  in
   Printf.sprintf "%s%s -> %s%s." prefix body exists head
 
 let print_program p =

@@ -36,5 +36,3 @@ let to_string = function
   | Exists -> "'exists'"
   | Bot -> "'false'"
   | Eof -> "end of input"
-
-type located = { token : t; line : int; col : int }

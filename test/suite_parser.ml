@@ -151,6 +151,13 @@ let lexical_errors =
     (* a syntax error on line 1 loses to the lexical error on line 2:
        the whole input is lexed before parsing starts *)
     ("r(a,b) s(c).\nr(#).", 2, 3, "unexpected character '#'");
+    (* the same holds for errors found in an 'exists' list or after a TGD
+       is built, and for a fact with a variable *)
+    ("r(X) -> exists Y Z. s(X,Y).\nr(#).", 2, 3, "unexpected character '#'");
+    ("r(X,Y) -> exists X. r(X,Y).\nr(\"abc", 2, 3, "unterminated string");
+    ("r(a,X).\n% c\nr(@).", 3, 3, "unexpected character '@'");
+    ("r(a) -", 1, 6, "expected '>' after '-'");
+    ("-", 1, 1, "expected '>' after '-'");
   ]
 
 (* Syntax errors carry the offending token's position. *)
@@ -159,7 +166,53 @@ let syntax_errors =
     ("r(a,b).\r\nr(c d).", 2, 5, "expected ',' or ')', found identifier \"d\"");
     ("% c\n\"x y\"(a).", 2, 1, "expected a predicate, found constant \"x y\"");
     ("r(\"a\nb\") s(c).", 2, 5, "expected '.' or '->', found identifier \"s\"");
+    ("r(a) -> exists Y Z. s(a,Y).", 1, 18, "expected ',' or '.', found variable \"Z\"");
+    ( "r(a) -> exists y. s(a,y).",
+      1,
+      16,
+      "expected a variable after 'exists', found identifier \"y\"" );
+    ("r(X,Y) -> exists X. r(X,Y).", 1, 1, "variable X is declared existential but occurs in the body");
+    ( "n: r(X) -> exists Z. s(X,Z,W).",
+      1,
+      1,
+      "existential variable W missing from the 'exists' list" );
+    ("X: r(a).", 1, 1, "facts cannot be named");
+    ("r(a), s(b).", 1, 11, "a fact is a single atom");
+    ("\n X(a).", 2, 2, "expected a predicate, found variable \"X\"");
+    ("r(a) -> s(a)", 1, 13, "expected '.', found end of input");
+    ("r -> s(a).", 1, 3, "expected '(', found '->'");
+    ("r(->).", 1, 3, "expected a term, found '->'");
   ]
+
+(* A syntax error on the last line of a program of about 150 KB keeps its
+   line and column. *)
+let long_program_error =
+  Alcotest.test_case "syntax error at the end of a 150 KB program" `Quick (fun () ->
+      let b = Buffer.create 160_000 in
+      let lines = ref 0 in
+      while Buffer.length b < 150_000 do
+        incr lines;
+        Printf.bprintf b "edge(n%d, \"v %d\"). %% fact %d\r\n" !lines !lines !lines
+      done;
+      Buffer.add_string b "  edge(a b).";
+      match Parser.parse_program (Buffer.contents b) with
+      | exception Parser.Error { line; col; msg } ->
+          Alcotest.(check (triple int int string))
+            "line, col, msg"
+            (!lines + 1, 10, "expected ',' or ')', found identifier \"b\"")
+            (line, col, msg)
+      | exception e -> Alcotest.failf "wrong exception %s" (Printexc.to_string e)
+      | _ -> Alcotest.fail "expected an error")
+
+(* A single atom is lexed to the end of its input as well. *)
+let atom_trailing_lexical_error =
+  Alcotest.test_case "parse_atom_exn reports a lexical error after the atom" `Quick (fun () ->
+      match Parser.parse_atom_exn "r(a). #" with
+      | exception Lexer.Error { line; col; msg } ->
+          Alcotest.(check (triple int int string))
+            "line, col, msg" (1, 7, "unexpected character '#'") (line, col, msg)
+      | exception e -> Alcotest.failf "wrong exception %s" (Printexc.to_string e)
+      | _ -> Alcotest.fail "expected an error")
 
 let error_position_tests =
   let case kind (src, line, col, msg) =
@@ -173,7 +226,9 @@ let error_position_tests =
         | exception e -> Alcotest.failf "wrong exception %s" (Printexc.to_string e)
         | _ -> Alcotest.fail "expected an error")
   in
-  List.map (case "lexical") lexical_errors @ List.map (case "syntax") syntax_errors
+  List.map (case "lexical") lexical_errors
+  @ List.map (case "syntax") syntax_errors
+  @ [ long_program_error; atom_trailing_lexical_error ]
 
 (* parse . print is the identity on the materialize benchmark's program
    families (at small sizes). *)
@@ -225,6 +280,16 @@ let position_property =
     | Bot -> Some "false"
     | Eof -> None
   in
+  (* the tokens of [src] with their positions, the last one [Eof] *)
+  let tokens src =
+    let lx = Lexer.make src in
+    let rec go acc =
+      Lexer.next lx;
+      let acc = (Lexer.token lx, lx.Lexer.tline, lx.Lexer.tcol) :: acc in
+      if lx.Lexer.kind = Lexer.k_eof then List.rev acc else go acc
+    in
+    go []
+  in
   let gen =
     QCheck2.Gen.(
       string_size ~gen:(oneofl [ 'a'; 'x'; 'X'; '_'; '1'; ' '; '\n'; '\r'; '\t'; '('; ')'; ','; '.';
@@ -234,25 +299,108 @@ let position_property =
   QCheck_alcotest.to_alcotest
     (QCheck2.Test.make ~name:"token positions point at the token's text" ~count:2000
        ~print:String.escaped gen (fun src ->
-         match Lexer.tokenize src with
+         match tokens src with
          | exception Lexer.Error { line; col; _ } ->
              let off = offset_of src line col in
              off >= 0 && off < String.length src
          | toks ->
+             let n = List.length toks in
              List.for_all
-               (fun i ->
-                 let t = Lexer.token toks i in
-                 match text_of t.token with
-                 | None -> i = Lexer.count toks - 1
+               (fun (i, (t, line, col)) ->
+                 match text_of t with
+                 | None -> i = n - 1
                  | Some w ->
-                     let off = offset_of src t.line t.col in
+                     let off = offset_of src line col in
                      off + String.length w <= String.length src
                      && String.sub src off (String.length w) = w)
-               (List.init (Lexer.count toks) Fun.id)))
+               (List.mapi (fun i t -> (i, t)) toks)))
+
+(* Programs of the fuzz oracle's generator, some of whose constants are
+   swapped for ones that need quoting, lex as numbers or look like
+   keywords, comments or punctuation, printed with comment lines, trailing
+   comments and, in half the cases, CRLF line ends. *)
+let decorated_program_gen =
+  let odd_constants =
+    [ "42"; "007"; "7up"; "Upper"; "_u"; "exists"; "false"; "a b"; ""; "x,y"; "(r)"; "->"; "a.b";
+      "% not a comment"; "// nor this"; "back\\slash"; "tab\there"; "two\nlines"; "caf\xc3\xa9" ]
+  in
+  QCheck2.Gen.(
+    map
+      (fun (profile, seed) ->
+        let case = Chase_check.Gen.generate ~profile ~seed in
+        let rng = Random.State.make [| seed; 24 |] in
+        let odd t =
+          match t with
+          | Term.Const _ when Random.State.int rng 3 = 0 ->
+              Term.Const (List.nth odd_constants (Random.State.int rng (List.length odd_constants)))
+          | t -> t
+        in
+        let tgds =
+          List.map
+            (fun t ->
+              Tgd.make ~name:(Tgd.name t) ~body:(List.map (Atom.map odd) (Tgd.body t))
+                ~head:(List.map (Atom.map odd) (Tgd.head t)) ())
+            case.Chase_check.Gen.tgds
+        in
+        let program = Program.make ~tgds ~database:(Instance.map (Atom.map odd) case.database) in
+        let eol = if Random.State.bool rng then "\r\n" else "\n" in
+        let b = Buffer.create 1024 in
+        (* one item per line, as [Printer.print_program] writes them; a
+           quoted constant may hold a line break of its own *)
+        List.iter
+          (fun item ->
+            (match Random.State.int rng 4 with
+            | 0 -> Printf.bprintf b "%% a \"comment\" -> r(X).%s" eol
+            | 1 -> Printf.bprintf b "  // another # one%s" eol
+            | _ -> ());
+            Buffer.add_string b item;
+            if Random.State.int rng 3 = 0 then Buffer.add_string b " % trailing (";
+            Buffer.add_string b eol)
+          (List.map Printer.print_tgd tgds
+          @ List.map Printer.print_fact (Instance.to_list (Program.database program)));
+        (program, Buffer.contents b))
+      (pair (oneofl Chase_check.Profile.all) (int_bound 1_000_000)))
+
+let round_trip_property =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~name:"parse (print p) = p, with comments, odd constants and CRLF"
+       ~count:1000
+       ~print:snd decorated_program_gen (fun (p, src) ->
+         let same q =
+           List.equal Tgd.equal (Program.tgds p) (Program.tgds q)
+           && Instance.equal (Program.database p) (Program.database q)
+         in
+         same (Parser.parse_program (Printer.print_program p)) && same (Parser.parse_program src)))
+
+(* Every prefix of a printed program parses or raises a positioned error
+   whose position lies within the prefix or just past its end. *)
+let truncation_property =
+  let offset_of src line col =
+    let rec go off l =
+      if l = line then Some (off + col - 1)
+      else match String.index_from_opt src off '\n' with Some j -> go (j + 1) (l + 1) | None -> None
+    in
+    if line < 1 || col < 1 then None else go 0 1
+  in
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~name:"every prefix of a program parses or raises a positioned error"
+       ~count:200 ~print:snd decorated_program_gen (fun (_, src) ->
+         List.for_all
+           (fun n ->
+             let prefix = String.sub src 0 n in
+             let positioned line col =
+               match offset_of prefix line col with Some off -> off <= n | None -> false
+             in
+             match Parser.parse_program prefix with
+             | _ -> true
+             | exception Lexer.Error { line; col; _ } -> positioned line col
+             | exception Parser.Error { line; col; _ } -> positioned line col
+             | exception e -> QCheck2.Test.fail_reportf "prefix %d: %s" n (Printexc.to_string e))
+           (List.init (String.length src + 1) Fun.id)))
 
 let suite =
   [
     ("parser", unit_tests @ [ position_property ]);
     ("parser positions", error_position_tests);
-    ("parser round-trips", family_round_trips);
+    ("parser round-trips", family_round_trips @ [ round_trip_property; truncation_property ]);
   ]
