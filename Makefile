@@ -10,12 +10,12 @@ bench:
 	dune exec bench/main.exe
 
 # Small-size engine benchmarks (E11, the E12 scaling sweep, the E15
-# portfolio-vs-fixed decider race and the E24 parse split), writes
-# BENCH_results.json.
+# portfolio-vs-fixed decider race, the E24 parse split and the E25
+# final-snapshot A/B), writes BENCH_results.json.
 # JOBS caps the E12 domain sweep, e.g. `make bench-smoke JOBS=2`.
 JOBS ?= 1
 bench-smoke:
-	dune exec bench/main.exe -- --json --smoke --jobs $(JOBS) E11 E12 E15 E24
+	dune exec bench/main.exe -- --json --smoke --jobs $(JOBS) E11 E12 E15 E24 E25
 
 # Differential fuzzing across the engine matrix (DESIGN.md §8); exits
 # nonzero with a shrunk repro on any cross-engine discrepancy, e.g.

@@ -1,5 +1,5 @@
 (* The benchmark harness: regenerates every experiment of EXPERIMENTS.md
-   (E1–E12, E15, E24).  The paper is a theory paper with no measured tables; these
+   (E1–E12, E15, E24, E25).  The paper is a theory paper with no measured tables; these
    experiments check its qualitative claims and measure the implemented
    systems.  Run with
 
@@ -675,7 +675,8 @@ let e10 () =
 (* search over the persistent Instance.                                 *)
 (* ------------------------------------------------------------------ *)
 
-let e11 () =
+(* The E11 families, (name, TGDs, database), smaller under --smoke. *)
+let e11_families () =
   let ontology_src =
     "o1: employee(E) -> exists T. member(E,T).\no2: member(E,T) -> team(T).\n\
      o3: team(T) -> exists E. member(E,T).\no4: member(E,T) -> employee(E)."
@@ -689,26 +690,26 @@ let e11 () =
     (s.Chase_workload.St_mapping.name, s.Chase_workload.St_mapping.tgds,
      s.Chase_workload.St_mapping.database)
   in
-  let families =
-    if !smoke then
-      [
-        ontology 40;
-        st (Chase_workload.St_mapping.doctors ~patients:25);
-        st (Chase_workload.St_mapping.deep ~depth:4 ~width:6);
-        st (Chase_workload.St_mapping.join_heavy ~rows:12);
-        st (Chase_workload.St_mapping.hub_propagation ~n:60 ~pad:240);
-        st (Chase_workload.St_mapping.hub_exchange ~n:50 ~pad:400);
-      ]
-    else
-      [
-        ontology 300;
-        st (Chase_workload.St_mapping.doctors ~patients:150);
-        st (Chase_workload.St_mapping.deep ~depth:6 ~width:25);
-        st (Chase_workload.St_mapping.join_heavy ~rows:45);
-        st (Chase_workload.St_mapping.hub_propagation ~n:2000 ~pad:8000);
-        st (Chase_workload.St_mapping.hub_exchange ~n:1500 ~pad:12000);
-      ]
-  in
+  if !smoke then
+    [
+      ontology 40;
+      st (Chase_workload.St_mapping.doctors ~patients:25);
+      st (Chase_workload.St_mapping.deep ~depth:4 ~width:6);
+      st (Chase_workload.St_mapping.join_heavy ~rows:12);
+      st (Chase_workload.St_mapping.hub_propagation ~n:60 ~pad:240);
+      st (Chase_workload.St_mapping.hub_exchange ~n:50 ~pad:400);
+    ]
+  else
+    [
+      ontology 300;
+      st (Chase_workload.St_mapping.doctors ~patients:150);
+      st (Chase_workload.St_mapping.deep ~depth:6 ~width:25);
+      st (Chase_workload.St_mapping.join_heavy ~rows:45);
+      st (Chase_workload.St_mapping.hub_propagation ~n:2000 ~pad:8000);
+      st (Chase_workload.St_mapping.hub_exchange ~n:1500 ~pad:12000);
+    ]
+
+let e11 () =
   let quota = if !smoke then 0.1 else 0.5 in
   let rows =
     List.map
@@ -740,7 +741,7 @@ let e11 () =
           Printf.sprintf "%.0f" (throughput compiled_ns);
           Printf.sprintf "%.1fx" speedup;
         ])
-      families
+      (e11_families ())
   in
   table
     ~title:
@@ -1088,11 +1089,119 @@ let e24 () =
         "lex words"; "parse words" ]
     rows
 
+(* ------------------------------------------------------------------ *)
+(* E25: the final snapshot of a store-backed chase.  Per E11 family the *)
+(* store is rebuilt as a chase leaves it (the database bulk-loaded, the *)
+(* produced atoms added in step order), and each repeat times its       *)
+(* persistent image two ways on a batch of such stores: the old fold of *)
+(* one [Instance.add] per queued atom into the loaded database, and     *)
+(* [Cinstance.snapshot] (one [Instance.of_list] of the queued atoms and *)
+(* one set union per predicate).  Both sides build the same stores      *)
+(* outside the timed loop, so they run on the same heap.  Rows give the *)
+(* median and quartiles over repeats, and exact [Gc.minor_words].       *)
+(* ------------------------------------------------------------------ *)
+
+let e25 () =
+  let repeats = if !smoke then 5 else 21 in
+  (* a repeat times about this long a batch, of at most [max_batch]
+     stores held at once *)
+  let target_s = if !smoke then 0.002 else 0.01 in
+  let max_batch = 32 in
+  let rows =
+    List.map
+      (fun (name, tgds, db) ->
+        let d = Restricted.run ~max_steps:200_000 tgds db in
+        assert (Derivation.terminated d);
+        let produced = List.concat_map (fun s -> s.Derivation.produced) (Derivation.steps d) in
+        let store () =
+          let c = Cinstance.of_instance db in
+          List.iter (fun a -> ignore (Cinstance.add c a)) produced;
+          c
+        in
+        (* the atoms a store queues for its snapshot, newest first *)
+        let pending =
+          let c = Cinstance.of_instance db in
+          List.fold_left (fun acc a -> if Cinstance.add c a then a :: acc else acc) [] produced
+        in
+        let fold (_ : Cinstance.t) = List.fold_left (fun i a -> Instance.add a i) db pending in
+        let final = Derivation.final d in
+        assert (Instance.equal (fold (store ())) final);
+        assert (Instance.equal (Cinstance.snapshot (store ())) final);
+        let spread f =
+          Obs.suspended @@ fun () ->
+          let c = store () in
+          let t0 = Unix.gettimeofday () in
+          ignore (f c);
+          let once = Unix.gettimeofday () -. t0 in
+          let batch = max 1 (min max_batch (int_of_float (target_s /. Float.max once 1e-6))) in
+          let per_run =
+            Array.init repeats (fun _ ->
+                let stores = Array.init batch (fun _ -> store ()) in
+                (* the last batch's garbage is not this batch's to collect *)
+                Gc.full_major ();
+                let t0 = Unix.gettimeofday () in
+                Array.iter (fun c -> ignore (f c)) stores;
+                (Unix.gettimeofday () -. t0) *. 1e3 /. float_of_int batch)
+          in
+          Array.sort Float.compare per_run;
+          let at q = per_run.(int_of_float (Float.round (q *. float_of_int (repeats - 1)))) in
+          (at 0.5, at 0.25, at 0.75)
+        in
+        let words f =
+          Obs.suspended @@ fun () ->
+          let c = store () in
+          let w0 = Gc.minor_words () in
+          ignore (f c);
+          Gc.minor_words () -. w0
+        in
+        let fold_words = words fold and snap_words = words Cinstance.snapshot in
+        let ((fold_ms, _, _) as fold_s) = spread fold in
+        let ((snap_ms, _, _) as snap_s) = spread Cinstance.snapshot in
+        let fields key (p50, p25, p75) =
+          [ (key ^ "_ms", Num p50); (key ^ "_ms_p25", Num p25); (key ^ "_ms_p75", Num p75) ]
+        in
+        record "E25"
+          ([
+             ("family", Str name);
+             ("database_atoms", Int (Instance.cardinal db));
+             ("pending_atoms", Int (List.length pending));
+             ("repeats", Int repeats);
+           ]
+          @ fields "fold" fold_s @ fields "snapshot" snap_s
+          @ [
+              ("fold_minor_words", Num fold_words);
+              ("snapshot_minor_words", Num snap_words);
+              ("speedup", Num (fold_ms /. snap_ms));
+            ]);
+        let cell (p50, p25, p75) = Printf.sprintf "%.4f [%.4f, %.4f]" p50 p25 p75 in
+        [
+          name;
+          string_of_int (Instance.cardinal db);
+          string_of_int (List.length pending);
+          cell fold_s;
+          cell snap_s;
+          Printf.sprintf "%.1fx" (fold_ms /. snap_ms);
+          Printf.sprintf "%.0f" fold_words;
+          Printf.sprintf "%.0f" snap_words;
+        ])
+      (e11_families ())
+  in
+  table
+    ~title:
+      (Printf.sprintf
+         "E25  final snapshot of a chased store: per-atom fold vs Cinstance.snapshot (ms per \
+          snapshot, median [p25, p75] of %d repeats)"
+         repeats)
+    ~header:
+      [ "family"; "database"; "pending"; "per-atom fold"; "Cinstance.snapshot"; "speedup";
+        "fold words"; "snapshot words" ]
+    rows
+
 let experiments =
   [
     ("E1", e1); ("E2", e2); ("E3", e3); ("E4", e4); ("E5", e5); ("E6", e6); ("E7", e7);
     ("E8", e8); ("E9", e9); ("E10", e10); ("E11", e11); ("E12", e12); ("E15", e15);
-    ("E24", e24);
+    ("E24", e24); ("E25", e25);
   ]
 
 (* Each experiment runs under a stats sink so BENCH_results.json carries

@@ -522,21 +522,26 @@ let iter f c =
         rs)
     c.by_name
 
+(* The atoms added since the last snapshot go in as one bulk-built
+   instance ([Instance.of_list]: a bucket and a sort) and one set union
+   per predicate they touch, not one persistent [add] per atom. *)
 let snapshot c =
-  match (c.snap, c.pending) with
-  | Some snap, [] -> snap
-  | Some snap, pending ->
-      Obs.count "cinstance.snapshot.folds" (List.length pending);
-      let snap = List.fold_left (fun i a -> Instance.add a i) snap pending in
-      c.snap <- Some snap;
-      c.pending <- [];
-      snap
-  | None, _ ->
-      Obs.count "cinstance.snapshot.folds" c.size;
-      let snap = ref Instance.empty in
-      iter (fun a -> snap := Instance.add a !snap) c;
-      c.snap <- Some !snap;
-      !snap
+  Obs.span "cinstance.snapshot" @@ fun () ->
+  let snap =
+    match (c.snap, c.pending) with
+    | Some snap, [] -> snap
+    | Some snap, pending ->
+        Obs.count "cinstance.snapshot.folds" (List.length pending);
+        Instance.union snap (Instance.of_list pending)
+    | None, _ ->
+        Obs.count "cinstance.snapshot.folds" c.size;
+        let atoms = ref [] in
+        iter (fun a -> atoms := a :: !atoms) c;
+        Instance.of_list !atoms
+  in
+  c.snap <- Some snap;
+  c.pending <- [];
+  snap
 
 (* Back to the state a bulk load leaves: every row in the base tier,
    no hash-tier postings, no rowset (the next [add] hashes the rows). *)

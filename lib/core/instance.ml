@@ -23,12 +23,13 @@ type slice = Atom.Set.t Term.Map.t
 
 (* [by_term] is a cache of slices, each built by the first
    [with_pred_pos_term] probe of its slot (DESIGN.md §6).  [add] and
-   [remove] maintain the slices a parent already has, so a chain of
-   instances that nothing probes never pays for an index.  The fill is a
-   plain racy write, not a [Lazy.t]: two domains forcing one lazy value
-   at once raise [Lazy.Undefined].  Every map ever stored holds correct
-   slices, so a racing domain at worst loses another's slice, which the
-   next probe of that slot rebuilds. *)
+   [remove] maintain the slices a parent already has, and [union] those
+   of its larger side, so a chain of instances that nothing probes never
+   pays for an index.  The fill is a plain racy write, not a [Lazy.t]:
+   two domains forcing one lazy value at once raise [Lazy.Undefined].
+   Every map ever stored holds correct slices, so a racing domain at
+   worst loses another's slice, which the next probe of that slot
+   rebuilds. *)
 type t = { by_pred : Atom.Set.t SMap.t; mutable by_term : slice SlotMap.t; size : int }
 
 let empty = { by_pred = SMap.empty; by_term = SlotMap.empty; size = 0 }
@@ -115,9 +116,6 @@ let to_list i = List.rev (fold (fun a acc -> a :: acc) i [])
 let to_set i =
   SMap.fold (fun _ s acc -> Atom.Set.union s acc) i.by_pred Atom.Set.empty
 
-let union a b =
-  if a.size >= b.size then fold add b a else fold add a b
-
 let diff a b = fold remove b a
 
 let inter a b = filter (fun atom -> mem atom b) a
@@ -152,6 +150,43 @@ let build_slice atoms k =
         else runs t' [ a ] (close t run slice) rest
   in
   match keyed with [] -> Term.Map.empty | (t, a) :: rest -> runs t [ a ] Term.Map.empty rest
+
+(* Merge the atoms [fresh] of predicate [p] into every slice of [p] that
+   [m] holds: one slice built from [fresh] per slot, united with the old
+   one. *)
+let merge_slices p fresh m =
+  SlotMap.to_seq_from (p, min_int) m
+  |> Seq.take_while (fun ((p', _), _) -> String.equal p p')
+  |> Seq.fold_left
+       (fun acc ((_, k) as slot, slice) ->
+         let merged =
+           Term.Map.union (fun _ s s' -> Some (Atom.Set.union s s')) slice (build_slice fresh k)
+         in
+         SlotMap.add slot merged acc)
+       m
+
+(* Merge the smaller side into the larger one predicate at a time: one
+   set union per predicate, the size grown by the atoms the larger side
+   lacks, and each slice the larger side has built merged with a slice of
+   those atoms, so a probe after a union rebuilds none of them. *)
+let union a b =
+  let big, small = if a.size >= b.size then (a, b) else (b, a) in
+  if small.size = 0 then big
+  else
+    let by_pred, by_term, size =
+      SMap.fold
+        (fun p s ((by_pred, by_term, size) as acc) ->
+          let base = match SMap.find_opt p by_pred with None -> Atom.Set.empty | Some b -> b in
+          let fresh = Atom.Set.diff s base in
+          if Atom.Set.is_empty fresh then acc
+          else
+            ( SMap.add p (Atom.Set.union base fresh) by_pred,
+              merge_slices p fresh by_term,
+              size + Atom.Set.cardinal fresh ))
+        small.by_pred
+        (big.by_pred, big.by_term, big.size)
+    in
+    { by_pred; by_term; size }
 
 (* Atoms with the given term at the given (0-based) position — the
    secondary index behind the homomorphism search's candidate pruning. *)

@@ -25,7 +25,14 @@ val exists : (Atom.t -> bool) -> t -> bool
 val filter : (Atom.t -> bool) -> t -> t
 val map : (Atom.t -> Atom.t) -> t -> t
 
+(** Merges the smaller instance into the larger one predicate at a
+    time: one [Atom.Set.union] per predicate of the smaller side, and the
+    size grown by the atoms the larger side lacked.  Every index slice
+    the larger side has built (see {!with_pred_pos_term}) is kept,
+    merged with a slice built from those new atoms, so no probe after a
+    union rebuilds it; the smaller side's slices are dropped. *)
 val union : t -> t -> t
+
 val diff : t -> t -> t
 val inter : t -> t -> t
 val subset : t -> t -> bool
@@ -40,8 +47,9 @@ val pred_count : t -> string -> int
 (** Atoms with the given term at the given 0-based position (secondary
     index; used to prune homomorphism candidates).  The index slice of a
     (predicate, position) is built by its first probe on an instance and
-    kept up to date by [add]/[remove] on instances derived afterwards;
-    each build emits [instance.index.build] and [instance.index.atoms]. *)
+    kept up to date by [add]/[remove]/[union] on instances derived
+    afterwards; each build emits [instance.index.build] and
+    [instance.index.atoms]. *)
 val with_pred_pos_term : t -> string -> int -> Term.t -> Atom.Set.t
 
 (** Predicates occurring in the instance, sorted. *)

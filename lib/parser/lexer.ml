@@ -25,6 +25,7 @@ type t = {
   mutable kind : int;
   mutable off : int;  (* payload offset; a quoted constant's is past its quote *)
   mutable tlen : int;  (* payload length *)
+  mutable escaped : bool;  (* the last quoted constant holds a doubled quote *)
   mutable tline : int;
   mutable tcol : int;
 }
@@ -47,7 +48,7 @@ and k_number = 12
 (* A cursor before the first token; [next] lexes it. *)
 let make src =
   { src; len = String.length src; pos = 0; line = 1; line_start = 0; kind = -1; off = 0; tlen = 0;
-    tline = 1; tcol = 1 }
+    escaped = false; tline = 1; tcol = 1 }
 
 (* 1-based byte column of [pos]. *)
 let col st = st.pos - st.line_start + 1
@@ -110,10 +111,18 @@ let rec skip_digits st =
   end
 
 (* A quoted constant is the raw bytes between the quotes, line breaks
-   included; [pos] ends past the closing quote. *)
+   included, where a doubled quote [""] stands for one quote; [pos] ends
+   past the closing quote. *)
 let rec skip_quoted st line col =
   if at_end st then error line col "unterminated string"
-  else if cur st = '"' then advance st
+  else if cur st = '"' then begin
+    advance st;
+    if (not (at_end st)) && cur st = '"' then begin
+      st.escaped <- true;
+      advance st;
+      skip_quoted st line col
+    end
+  end
   else begin
     advance st;
     skip_quoted st line col
@@ -121,6 +130,7 @@ let rec skip_quoted st line col =
 
 let lex_quoted st =
   let line = st.line and col = col st in
+  st.escaped <- false;
   advance st (* opening quote *);
   skip_quoted st line col
 
@@ -206,8 +216,22 @@ let scan_rest st =
     next st
   done
 
-(* The current token's payload. *)
-let payload st = String.sub st.src st.off st.tlen
+(* [len] bytes of [src] from [off], each doubled quote read as one. *)
+let unescape src off len =
+  let b = Buffer.create len in
+  let i = ref off in
+  while !i < off + len do
+    let c = String.unsafe_get src !i in
+    Buffer.add_char b c;
+    i := !i + if c = '"' then 2 else 1
+  done;
+  Buffer.contents b
+
+(* The current token's payload; a quoted constant's without its quotes
+   and with each doubled quote read as one. *)
+let payload st =
+  if st.kind = k_quoted && st.escaped then unescape st.src st.off st.tlen
+  else String.sub st.src st.off st.tlen
 
 (* The current token, boxed, for an error message. *)
 let token st : Token.t =

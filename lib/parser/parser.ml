@@ -9,6 +9,9 @@
    term     ::= VARIABLE | constant
    constant ::= lowercase identifier | integer | quoted string
 
+   A quoted string is its raw bytes, line breaks included, except that a
+   doubled quote inside it stands for one quote.
+
    Head variables not bound in the body are implicitly existential; an
    explicit 'exists' list is also accepted (and checked). *)
 

@@ -19,8 +19,8 @@ let is_number s = String.length s > 0 && String.for_all (function '0' .. '9' -> 
 let is_bare_const s = is_ident s || is_number s
 
 (* The lexer reads a quoted constant's bytes raw, line breaks included,
-   so only a constant holding a double quote cannot be written back. *)
-let quote s = if String.contains s '"' then Printf.sprintf "%S" s else "\"" ^ s ^ "\""
+   and a doubled quote as one quote. *)
+let quote s = "\"" ^ String.concat "\"\"" (String.split_on_char '"' s) ^ "\""
 
 (* A renaming of the TGD's variables into concrete-syntax variable names,
    injective by construction. *)
@@ -52,8 +52,12 @@ let print_term rename = function
   | Term.Const c -> if is_bare_const c then c else quote c
   | Term.Null n -> quote ("_:" ^ n)
 
+(* No quoting makes a predicate of a word the lexer does not read as an
+   identifier, so such a program cannot be written back. *)
 let print_atom rename a =
-  Printf.sprintf "%s(%s)" (Atom.pred a)
+  let p = Atom.pred a in
+  if not (is_ident p) then invalid_arg (Printf.sprintf "Printer: predicate %S is not an identifier" p);
+  Printf.sprintf "%s(%s)" p
     (String.concat "," (List.map (print_term rename) (Atom.args a)))
 
 let print_fact a = print_atom (fun v -> v) a ^ "."

@@ -457,12 +457,71 @@ let removal_property =
          ok0 && added_ok && ok1 && ok2 && readded_ok && ok3 && check 4 r4 && !renamed_ok
          && Instance.equal (Cinstance.snapshot c) r4))
 
+(* [Cinstance.snapshot] unites the atoms added since the last snapshot
+   with the image it keeps, which starts as the loaded instance itself,
+   whose slices a probe has built.  After any interleaving of adds,
+   snapshots and removals it must equal [Instance.of_list] of the store's
+   atoms, on every (predicate, position, term) probe too. *)
+type snap_op = Add of Atom.t | Snap | Remove of bool list
+
+let snapshot_property =
+  let terms =
+    List.map (fun c -> Term.Const c) Tgen.small_consts
+    @ List.map (fun n -> Term.Null n) Tgen.small_nulls
+  in
+  let probe_all i =
+    List.concat_map
+      (fun (p, ar) ->
+        List.concat_map
+          (fun k -> List.map (fun t -> Instance.with_pred_pos_term i p k t) terms)
+          (List.init ar Fun.id))
+      Tgen.schema_preds
+  in
+  let op_gen =
+    QCheck2.Gen.(
+      frequency
+        [
+          (4, map (fun a -> Add a) Tgen.ground_atom_gen);
+          (2, return Snap);
+          (1, map (fun picks -> Remove picks) (list_repeat 4 bool));
+        ])
+  in
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~name:"Cinstance.snapshot = Instance.of_list of the store's atoms" ~count:300
+       QCheck2.Gen.(pair Tgen.instance_gen (list_size (int_range 0 16) op_gen))
+       (fun (db, ops) ->
+         ignore (probe_all db);
+         let c = Cinstance.of_instance db in
+         let snapshot_ok () =
+           let atoms = ref [] in
+           Cinstance.iter (fun a -> atoms := a :: !atoms) c;
+           let expect = Instance.of_list !atoms in
+           let snap = Cinstance.snapshot c in
+           List.equal Atom.equal (Instance.to_list snap) (Instance.to_list expect)
+           && Instance.cardinal snap = Instance.cardinal expect
+           && List.equal Atom.Set.equal (probe_all snap) (probe_all expect)
+         in
+         List.for_all
+           (function
+             | Add a ->
+                 ignore (Cinstance.add c a);
+                 true
+             | Snap -> snapshot_ok ()
+             | Remove picks ->
+                 let atoms = ref [] in
+                 Cinstance.iter (fun a -> atoms := a :: !atoms) c;
+                 let (_ : int -> int) = Cinstance.remove c (pick picks !atoms) in
+                 true)
+           ops
+         && snapshot_ok ()))
+
 let suite =
   [
     ( "compiled-engine-equivalence",
       properties
       @ [
           removal_property;
+          snapshot_property;
           Alcotest.test_case "canonical null names are pinned on both engines" `Quick
             pinned_canonical;
           Alcotest.test_case "a substitution per applied step, not per candidate" `Quick

@@ -398,4 +398,67 @@ let index_tests =
             Alcotest.(check int) "atoms indexed" 3 (Obs.Stats.counter st "instance.index.atoms")));
   ]
 
-let suite = [ ("core", unit_tests @ storage_tests @ property_tests @ index_tests) ]
+(* [Instance.union] merges per predicate and keeps the slices the larger
+   side built; it must equal a fold of [Instance.add] on every read.  The
+   schema holds r at two arities, and [b] shares some atoms with [a]. *)
+let union_slots = [ ("r", 2); ("r", 1); ("s", 1); ("t", 3) ]
+
+let union_atom_gen =
+  let open QCheck2.Gen in
+  let* p, ar = oneofl union_slots in
+  let* args = list_repeat ar Tgen.ground_term_gen in
+  return (Atom.make p args)
+
+let union_terms = List.map c Tgen.small_consts @ List.map n Tgen.small_nulls
+
+(* Every (predicate, position) answer of [i], building each slice [i]
+   lacks. *)
+let probe_all i =
+  List.concat_map
+    (fun (p, ar) ->
+      List.concat_map
+        (fun k -> List.map (fun t -> Instance.with_pred_pos_term i p k t) union_terms)
+        (List.init ar Fun.id))
+    union_slots
+
+let union_tests =
+  let open QCheck2 in
+  let gen =
+    Gen.(
+      let side = oneof [ return []; list_size (int_range 0 12) union_atom_gen ] in
+      let* a = side in
+      let* shared = list_size (int_range 0 6) (if a = [] then union_atom_gen else oneofl a) in
+      let* b = side in
+      let* probe_a = bool in
+      let* probe_b = bool in
+      return (a, shared @ b, probe_a, probe_b))
+  in
+  [
+    QCheck_alcotest.to_alcotest
+      (Test.make ~name:"instance union equals a fold of add, slices included" ~count:500
+         ~print:(fun (a, b, pa, pb) ->
+           Printf.sprintf "a=%s b=%s probe_a=%b probe_b=%b"
+             (String.concat " " (List.map Atom.to_string a))
+             (String.concat " " (List.map Atom.to_string b))
+             pa pb)
+         gen
+         (fun (a, b, probe_a, probe_b) ->
+           let a = Instance.of_list a and b = Instance.of_list b in
+           if probe_a then ignore (probe_all a);
+           if probe_b then ignore (probe_all b);
+           let folded = Instance.fold Instance.add b a in
+           let u = Instance.union a b in
+           (* a probe after the union rebuilds no slice the larger side had *)
+           let big_probed = if Instance.cardinal a >= Instance.cardinal b then probe_a else probe_b in
+           let st = Obs.Stats.create () in
+           let probes = Obs.with_sink (Obs.Stats.sink st) (fun () -> probe_all u) in
+           let fresh = Instance.of_list (Instance.to_list u) in
+           List.equal Atom.equal (Instance.to_list u) (Instance.to_list folded)
+           && Instance.cardinal u = Instance.cardinal folded
+           && List.equal Atom.Set.equal probes (probe_all fresh)
+           && List.equal Atom.Set.equal probes (probe_all folded)
+           && ((not big_probed) || Instance.is_empty u
+              || Obs.Stats.counter st "instance.index.build" = 0)));
+  ]
+
+let suite = [ ("core", unit_tests @ storage_tests @ property_tests @ index_tests @ union_tests) ]

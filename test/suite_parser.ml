@@ -269,7 +269,7 @@ let position_property =
   let text_of (t : Token.t) =
     match t with
     | Ident s | Uident s | Number s -> Some s
-    | Quoted s -> Some ("\"" ^ s ^ "\"")
+    | Quoted s -> Some ("\"" ^ String.concat "\"\"" (String.split_on_char '"' s) ^ "\"")
     | Lparen -> Some "("
     | Rparen -> Some ")"
     | Comma -> Some ","
@@ -322,7 +322,8 @@ let position_property =
 let decorated_program_gen =
   let odd_constants =
     [ "42"; "007"; "7up"; "Upper"; "_u"; "exists"; "false"; "a b"; ""; "x,y"; "(r)"; "->"; "a.b";
-      "% not a comment"; "// nor this"; "back\\slash"; "tab\there"; "two\nlines"; "caf\xc3\xa9" ]
+      "% not a comment"; "// nor this"; "back\\slash"; "tab\there"; "two\nlines"; "caf\xc3\xa9";
+      "a\"b"; "\""; "\"\""; "x\""; "\"q\"" ]
   in
   QCheck2.Gen.(
     map
@@ -398,9 +399,40 @@ let truncation_property =
              | exception e -> QCheck2.Test.fail_reportf "prefix %d: %s" n (Printexc.to_string e))
            (List.init (String.length src + 1) Fun.id)))
 
+(* A doubled quote inside a quoted constant is one quote; the printer
+   writes a quote that way, and refuses a predicate no text can hold. *)
+let quote_tests =
+  [
+    Alcotest.test_case "a doubled quote in a quoted constant is one quote" `Quick (fun () ->
+        let db = Program.database (Parser.parse_program "r(\"a\"\"b\"). r(\"\"\"\"). r(\"\").") in
+        Alcotest.(check (list string))
+          "constants" [ ""; "\""; "a\"b" ]
+          (List.sort compare
+             (List.map
+                (fun a -> match Atom.args a with [ Term.Const c ] -> c | _ -> "?")
+                (Instance.to_list db))));
+    Alcotest.test_case "a quote-bearing constant prints with doubled quotes" `Quick (fun () ->
+        let a = Atom.make "r" [ Term.Const "a\"b" ] in
+        Alcotest.(check string) "printed" "r(\"a\"\"b\")." (Printer.print_fact a);
+        Alcotest.(check bool) "round-trips" true
+          (Instance.mem a (Program.database (Parser.parse_program (Printer.print_fact a)))));
+    Alcotest.test_case "a predicate that is not an identifier does not print" `Quick (fun () ->
+        List.iter
+          (fun p ->
+            match Printer.print_fact (Atom.make p [ Term.Const "c" ]) with
+            | exception Invalid_argument msg ->
+                Alcotest.(check string)
+                  "names the predicate"
+                  (Printf.sprintf "Printer: predicate %S is not an identifier" p)
+                  msg
+            | s -> Alcotest.failf "printed %S" s)
+          [ "P q"; "Upper"; "exists"; ""; "r(x)" ]);
+  ]
+
 let suite =
   [
     ("parser", unit_tests @ [ position_property ]);
     ("parser positions", error_position_tests);
-    ("parser round-trips", family_round_trips @ [ round_trip_property; truncation_property ]);
+    ( "parser round-trips",
+      family_round_trips @ [ round_trip_property; truncation_property ] @ quote_tests );
   ]
